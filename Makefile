@@ -37,8 +37,8 @@ fuzz-short:
 	done
 
 # Data-path microbenchmarks: oncrpc call-path and securechan
-# seal/open allocations, plus the WAN flush-scaling sweep (workers
-# 1/2/4/8 under an emulated 20 ms RTT). Results land in BENCH_5.json;
+# seal/open allocations, plus the WAN flush-scaling sweep (pipeline
+# window 1/2/4/8 deep under an emulated 20 ms RTT). Results land in BENCH_5.json;
 # BENCH_6.json pairs the allocation benchmarks with the static
 # alloc-hotpath census totals (runtime allocs/op vs the budgeted heap
 # sites). CI runs at -benchtime 1x and archives both files, full runs

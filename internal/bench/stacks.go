@@ -71,9 +71,6 @@ type StackConfig struct {
 	// measure revalidation storms set it to 1ns so every stat goes to
 	// the wire.
 	AttrTimeout time.Duration
-	// AsyncWindow bounds the client proxy's upstream pipelining depth
-	// (0 = the oncrpc default; negative = unbounded).
-	AsyncWindow int
 	// FineGrained enables per-file ACLs on the SGFS server proxy.
 	FineGrained bool
 	// DisableACLCache turns off ACL caching (ablation).
@@ -317,7 +314,6 @@ func buildProxyStack(st *Stack, cfg StackConfig, nfsAddr, exportPath string, wan
 		Meter:         st.ClientMeter,
 		RekeyInterval: cfg.RekeyInterval,
 		Recovery:      cfg.Recovery,
-		AsyncWindow:   cfg.AsyncWindow,
 	}
 	if cfg.DiskCache {
 		dir := cfg.DiskCacheDir

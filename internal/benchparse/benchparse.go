@@ -24,7 +24,7 @@ type Result struct {
 // looks like:
 //
 //	BenchmarkCallEcho-4  9506  118419 ns/op  1320 B/op  15 allocs/op
-//	BenchmarkFlushScaling/workers=8-4  1  310146346 ns/op  117.0 flush-ms
+//	BenchmarkFlushScaling/window=8-4  1  310146346 ns/op  117.0 flush-ms
 func Parse(pkg, out string) []Result {
 	var results []Result
 	for _, line := range strings.Split(out, "\n") {

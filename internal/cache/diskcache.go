@@ -14,8 +14,8 @@
 //
 // The cache is sharded by file handle: each shard has its own mutex,
 // block/attr/access maps, and LRU list, so concurrent requests for
-// unrelated files (the pipelined flush workers, the readahead pool,
-// and foreground NFS traffic) do not serialize on one global lock.
+// unrelated files (the pipelined flush, the readahead pool, and
+// foreground NFS traffic) do not serialize on one global lock.
 // Block file pread/pwrite syscalls always happen outside the shard
 // lock. Capacity is accounted globally — a single hot file may use the
 // whole budget — and each shard evicts its own clean LRU blocks while

@@ -195,11 +195,11 @@ func (s *ChannelStats) Snapshot() ChannelSnapshot {
 }
 
 // DataPathStats counts pipelined data-path activity in the client
-// proxy: flush worker concurrency, readahead traffic, and in-flight
+// proxy: flush concurrency, readahead traffic, and in-flight
 // READ deduplication. All counters are atomic.
 type DataPathStats struct {
-	// FlushActive is the number of flush workers currently sending a
-	// block; FlushPeak is the high-water mark across the session.
+	// FlushActive is the number of flush WRITEs currently in flight;
+	// FlushPeak is the high-water mark across the session.
 	FlushActive atomic.Int64
 	FlushPeak   atomic.Int64
 	// FlushedBlocks counts blocks successfully written upstream (any
@@ -219,7 +219,7 @@ type DataPathStats struct {
 	InflightDedup    atomic.Uint64
 }
 
-// EnterFlush marks one flush worker active, maintaining the peak.
+// EnterFlush marks one flush WRITE in flight, maintaining the peak.
 func (s *DataPathStats) EnterFlush() {
 	n := s.FlushActive.Add(1)
 	for {
@@ -230,7 +230,7 @@ func (s *DataPathStats) EnterFlush() {
 	}
 }
 
-// LeaveFlush marks one flush worker idle again.
+// LeaveFlush marks one flush WRITE settled.
 func (s *DataPathStats) LeaveFlush() { s.FlushActive.Add(-1) }
 
 // DataPathSnapshot is a plain-value copy of DataPathStats.

@@ -137,12 +137,13 @@ func (c *conn) pumpIn() {
 // Read returns shaped incoming data.
 func (c *conn) Read(p []byte) (int, error) { return c.in.read(p) }
 
-// Close drains in-flight writes, then closes the underlying
-// connection.
+// Close drains in-flight writes, then closes the outgoing queue (so
+// pumpOut exits and later Writes fail) and the underlying connection.
 func (c *conn) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
 		c.out.waitEmpty(2 * c.delay)
+		c.out.close(net.ErrClosed)
 		err = c.Conn.Close()
 	})
 	return err
@@ -204,6 +205,7 @@ func (q *delayQueue) pop(dst []byte) ([]byte, error) {
 				q.mu.Lock()
 				continue
 			}
+			q.chunks[0] = chunk{} // do not keep the consumed buffer reachable
 			q.chunks = q.chunks[1:]
 			q.mu.Unlock()
 			q.cond.Broadcast() // wake waitEmpty
@@ -233,6 +235,7 @@ func (q *delayQueue) read(p []byte) (int, error) {
 			}
 			n := copy(p, ch.data)
 			if n == len(ch.data) {
+				*ch = chunk{}
 				q.chunks = q.chunks[1:]
 			} else {
 				ch.data = ch.data[n:]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -182,5 +183,34 @@ func TestCloseDrainsInFlight(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("in-flight write lost at close")
+	}
+}
+
+// TestCloseStopsPumps checks that closing a shaped conn ends both of
+// its pump goroutines, and that a Write after Close fails instead of
+// queueing into a link nobody drains.
+func TestCloseStopsPumps(t *testing.T) {
+	const conns = 20
+	base := runtime.NumGoroutine()
+	shaped := make([]net.Conn, conns)
+	for i := range shaped {
+		a, _ := tcpPair(t)
+		shaped[i] = Wrap(a, Config{RTT: 2 * time.Millisecond})
+	}
+	for _, c := range shaped {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after closing %d shaped conns, baseline %d",
+				runtime.NumGoroutine(), conns, base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := shaped[0].Write([]byte("late")); err == nil {
+		t.Fatal("Write after Close succeeded")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/nfs3"
+	"repro/internal/oncrpc"
 	"repro/internal/singleflight"
 	"repro/internal/vfs"
 )
@@ -842,28 +843,30 @@ func (fs *FileSystem) flushFile(ctx context.Context, fh nfs3.FH3) error {
 	if len(dirty) == 0 {
 		return sticky
 	}
-	// Flush with bounded concurrency; the RPC client pipelines them.
-	sem := make(chan struct{}, 8)
-	errCh := make(chan error, len(dirty))
+	// Submit every WRITE as a future, then collect oldest-first: the
+	// RPC client's pipeline window applies backpressure during
+	// submission while earlier writes complete on its read loop.
 	bs := uint64(fs.opt.BlockSize)
-	for _, b := range dirty {
-		sem <- struct{}{}
-		go func(b dirtyBlock) {
-			defer func() { <-sem }()
-			_, err := fs.proto.Write(ctx, fh, b.key.block*bs, b.data, nfs3.Unstable)
-			if err == nil {
-				fs.statMu.Lock()
-				fs.rpcWrites++
-				fs.statMu.Unlock()
-			}
-			errCh <- err
-		}(b)
+	res := make([]nfs3.WriteRes, len(dirty))
+	pend := make([]*oncrpc.Pending, len(dirty))
+	for i, b := range dirty {
+		pend[i] = fs.proto.GoWrite(ctx, fh, b.key.block*bs, b.data, nfs3.Unstable, &res[i])
 	}
 	var firstErr error
-	for range dirty {
-		if err := <-errCh; err != nil && firstErr == nil {
-			firstErr = err
+	for i, p := range pend {
+		err := p.Wait(ctx)
+		if err == nil {
+			err = writeResErr(&res[i], len(dirty[i].data))
 		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		fs.statMu.Lock()
+		fs.rpcWrites++
+		fs.statMu.Unlock()
 	}
 	if firstErr != nil {
 		return errors.Join(sticky, firstErr)

@@ -137,13 +137,26 @@ func (p *Proto) Write(ctx context.Context, fh nfs3.FH3, offset uint64, data []by
 	if err := p.rpc.Call(ctx, nfs3.ProcWrite, args, &res); err != nil {
 		return 0, err
 	}
+	return res.Committed, writeResErr(&res, len(data))
+}
+
+// writeResErr reports a WRITE reply's failure status or short count.
+func writeResErr(res *nfs3.WriteRes, n int) error {
 	if res.Status != nfs3.OK {
-		return 0, res.Status.Error()
+		return res.Status.Error()
 	}
-	if res.Count != uint32(len(data)) {
-		return res.Committed, fmt.Errorf("nfsclient: short write %d of %d", res.Count, len(data))
+	if res.Count != uint32(n) {
+		return fmt.Errorf("nfsclient: short write %d of %d", res.Count, n)
 	}
-	return res.Committed, nil
+	return nil
+}
+
+// GoWrite issues WRITE asynchronously. See GoGetAttr for the result
+// ownership rules; on a nil future error the caller checks res with
+// writeResErr.
+func (p *Proto) GoWrite(ctx context.Context, fh nfs3.FH3, offset uint64, data []byte, stable uint32, res *nfs3.WriteRes) *oncrpc.Pending {
+	args := &nfs3.WriteArgs{Obj: fh, Offset: offset, Count: uint32(len(data)), Stable: stable, Data: data}
+	return p.rpc.Go(ctx, nfs3.ProcWrite, args, res)
 }
 
 // Create makes a regular file.

@@ -23,9 +23,9 @@ const (
 	pendingCancelled
 )
 
-// Pending is the future for one asynchronous RPC issued with Go or
-// GoCred: the reply is decoded into the caller's reply value before
-// Done is closed, so Done means "result ready", not "result
+// Pending is the future for one asynchronous call issued with Go,
+// GoCred or GoFunc: the reply is decoded into the caller's reply value
+// before Done is closed, so Done means "result ready", not "result
 // scheduled". Many Pendings may be in flight on one Client at once,
 // completing out of order as the server answers.
 //
@@ -37,16 +37,17 @@ type Pending struct {
 	err  error // written once by the settling goroutine before close(done)
 
 	// Direct (Client.Go) futures: the pending-table key, the pooled
-	// per-call scratch handed to the future at submission and recycled
-	// at settlement, and the caller's reply target.
+	// per-call scratch shared by the submitting GoCred and the future,
+	// and the caller's reply target.
 	c        *Client
 	xid      uint32
 	cb       *callBufs
+	cbRefs   atomic.Int32 // owners of cb; the last to let go recycles it
 	reply    xdr.Unmarshaler
 	windowed bool // holds a pipeline-window slot until settled
 	state    atomic.Uint32
 
-	// Shell (ReconnectClient.Go) futures: cancelFn aborts the driving
+	// Goroutine-driven (GoFunc) futures: cancelFn aborts the driving
 	// goroutine, which settles the future itself.
 	cancelFn context.CancelFunc
 }
@@ -91,7 +92,7 @@ func (p *Pending) Wait(ctx context.Context) error {
 // delivered, the call settles with its real outcome instead.
 func (p *Pending) Cancel() {
 	if p.cancelFn != nil {
-		p.cancelFn() // shell future: the driving goroutine settles it
+		p.cancelFn() // GoFunc future: the driving goroutine settles it
 		return
 	}
 	if p.c == nil {
@@ -111,17 +112,26 @@ func (p *Pending) Cancel() {
 // and publishes the outcome. Only the goroutine that won the state
 // CAS may call it, exactly once.
 func (p *Pending) settle() {
-	if p.cb != nil {
-		// The future owned the callBufs since submission; a losing
-		// deliver() never touches them, so recycling here is safe even
-		// when a late record is still in flight.
-		callBufPool.Put(p.cb)
+	if cb := p.cb; cb != nil {
+		// A losing deliver() never touches the callBufs, so releasing
+		// here is safe even when a late record is still in flight.
 		p.cb = nil
+		p.releaseBufs(cb)
 	}
 	if p.windowed {
 		<-p.c.window
 	}
 	close(p.done)
+}
+
+// releaseBufs drops one owner of the future's callBufs: GoCred holds
+// one until its record write returns, the future one until it settles.
+// A transport teardown can settle the future while GoCred is still
+// writing, so whichever finishes last recycles the buffers.
+func (p *Pending) releaseBufs(cb *callBufs) {
+	if p.cbRefs.Add(-1) == 0 {
+		callBufPool.Put(cb)
+	}
 }
 
 // settleEarly fails a future that never reached the pending table
@@ -167,6 +177,22 @@ func (p *Pending) deliverErr(err error) {
 	}
 	p.err = err
 	p.settle()
+}
+
+// GoFunc runs fn on its own goroutine and returns a future that
+// settles with fn's result. It gives a future face to calls that are
+// not one RPC on one connection — a reconnect-and-replay loop, a
+// replicated fan-out. Cancel cancels the context fn receives; Wait
+// and Done then follow fn's return, so fn must honour its context.
+func GoFunc(ctx context.Context, fn func(ctx context.Context) error) *Pending {
+	ctx, cancel := context.WithCancel(ctx)
+	p := &Pending{done: make(chan struct{}), cancelFn: cancel}
+	go func() {
+		defer cancel()
+		p.err = fn(ctx)
+		close(p.done)
+	}()
+	return p
 }
 
 // Go issues proc asynchronously with the default credential and
@@ -226,6 +252,7 @@ func (c *Client) GoCred(ctx context.Context, proc uint32, cred OpaqueAuth, args 
 
 	p.xid = xid
 	p.cb = cb
+	p.cbRefs.Store(2)
 	if err := c.registerPending(xid, p); err != nil {
 		p.cb = nil
 		callBufPool.Put(cb)
@@ -235,6 +262,7 @@ func (c *Client) GoCred(ctx context.Context, proc uint32, cred OpaqueAuth, args 
 	c.writeMu.Lock()
 	err := writeRecord(c.conn, cb.body.Bytes(), &cb.whdr)
 	c.writeMu.Unlock()
+	p.releaseBufs(cb)
 	if err != nil {
 		// Remove our entry if teardown has not already claimed it, then
 		// fail the transport; deliverErr is CAS-guarded against a

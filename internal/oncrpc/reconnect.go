@@ -315,11 +315,8 @@ func (r *ReconnectClient) GoCred(ctx context.Context, proc uint32, cred OpaqueAu
 }
 
 func (r *ReconnectClient) goCred(ctx context.Context, proc uint32, cred *OpaqueAuth, args xdr.Marshaler, reply xdr.Unmarshaler) *Pending {
-	cctx, cancel := context.WithCancel(ctx)
-	p := &Pending{done: make(chan struct{}), cancelFn: cancel}
-	go func() {
-		defer cancel()
-		p.err = r.do(cctx, proc, func(actx context.Context, cl *Client) error {
+	return GoFunc(ctx, func(ctx context.Context) error {
+		return r.do(ctx, proc, func(actx context.Context, cl *Client) error {
 			var inner *Pending
 			if cred != nil {
 				inner = cl.GoCred(actx, proc, *cred, args, reply)
@@ -328,9 +325,7 @@ func (r *ReconnectClient) goCred(ctx context.Context, proc uint32, cred *OpaqueA
 			}
 			return inner.Wait(actx)
 		})
-		close(p.done)
-	}()
-	return p
+	})
 }
 
 // do runs the session/replay loop around one call attempt: issue is

@@ -1,31 +1,17 @@
 // Pipelined upstream metadata helpers: concurrent GETATTR gathers over
-// the oncrpc future API, used by the READDIRPLUS attribute fill and by
-// parallel revalidation of the session attribute cache. The upstream
-// future API keeps many calls in flight on the one WAN connection, so
-// an N-entry gather costs ~1 round trip instead of N.
+// the upstream future API, used by the READDIRPLUS attribute fill and
+// by parallel revalidation of the session attribute cache. Many calls
+// stay in flight on the one WAN connection, so an N-entry gather costs
+// ~1 round trip instead of N.
 package proxy
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"repro/internal/nfs3"
 	"repro/internal/oncrpc"
-	"repro/internal/xdr"
 )
-
-// asyncUpstream is the optional pipelined face of an upstream: the
-// plain session client and the reconnecting client both expose the
-// future API. The replicated upstream does not — it fans calls out
-// internally, so gathers fall back to bounded goroutines over Call.
-type asyncUpstream interface {
-	Go(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) *oncrpc.Pending
-}
-
-// gatherFallbackConcurrency bounds the goroutine fan-out used when
-// the upstream has no future API (replicated namespaces).
-const gatherFallbackConcurrency = 16
 
 // attrFetch is one slot of a GETATTR gather.
 type attrFetch struct {
@@ -35,68 +21,35 @@ type attrFetch struct {
 	err  error
 }
 
-// asyncWindow resolves the AsyncWindow knob: default pipelining depth
-// when unset, unbounded when negative.
-func (c *ClientConfig) asyncWindow() int {
-	switch {
-	case c.AsyncWindow > 0:
-		return c.AsyncWindow
-	case c.AsyncWindow < 0:
-		return 0 // NewClientWindow treats <= 0 as unbounded
-	default:
-		return oncrpc.DefaultWindow
+func (f *attrFetch) wait(ctx context.Context) {
+	f.err = f.p.Wait(ctx)
+	if f.err == nil && f.res.Status != nfs3.OK {
+		f.err = f.res.Status.Error()
 	}
 }
 
-// gatherAttrs fetches attributes for every handle concurrently —
-// pipelined through the upstream future API when available, else a
-// bounded goroutine fan-out. Results are positional and carry
-// per-slot errors; like upCall, the total wait is credited back to
-// the meter so gathers do not inflate proxy CPU figures.
+// gatherAttrs fetches attributes for every handle as upstream futures,
+// waiting on them oldest-first with at most the pipeline window
+// outstanding. Results are positional and carry per-slot errors.
 func (p *ClientProxy) gatherAttrs(ctx context.Context, fhs []nfs3.FH3) []attrFetch {
 	out := make([]attrFetch, len(fhs))
 	if len(fhs) == 0 {
 		return out
 	}
-	if p.cfg.Meter != nil {
-		start := time.Now()
-		defer func() { p.cfg.Meter.Add(-time.Since(start)) }()
-	}
+	defer creditWait(ctx, time.Now())
 	ctx, cancel := context.WithTimeout(ctx, p.opTimeout())
 	defer cancel()
+	window := p.cfg.pipelineWindow()
 	for i := range out {
+		if i >= window {
+			out[i-window].wait(ctx)
+		}
 		out[i].args.Obj = fhs[i]
+		out[i].p = p.up.Go(ctx, nfs3.ProcGetAttr, &out[i].args, &out[i].res)
 	}
-	if au, ok := p.up.(asyncUpstream); ok {
-		// Submission self-paces against the pipeline window; earlier
-		// futures complete on the session's read loop meanwhile.
-		for i := range out {
-			out[i].p = au.Go(ctx, nfs3.ProcGetAttr, &out[i].args, &out[i].res)
-		}
-		for i := range out {
-			f := &out[i]
-			f.err = f.p.Wait(ctx)
-			if f.err == nil && f.res.Status != nfs3.OK {
-				f.err = f.res.Status.Error()
-			}
-		}
-		return out
+	for i := max(0, len(out)-window); i < len(out); i++ {
+		out[i].wait(ctx)
 	}
-	sem := make(chan struct{}, gatherFallbackConcurrency)
-	var wg sync.WaitGroup
-	for i := range out {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(f *attrFetch) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f.err = p.up.Call(ctx, nfs3.ProcGetAttr, &f.args, &f.res)
-			if f.err == nil && f.res.Status != nfs3.OK {
-				f.err = f.res.Status.Error()
-			}
-		}(&out[i])
-	}
-	wg.Wait()
 	return out
 }
 

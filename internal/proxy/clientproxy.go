@@ -89,19 +89,10 @@ type ClientConfig struct {
 	// keeps the paper's single-shot session: the first link failure
 	// ends it.
 	Recovery *RecoveryConfig
-	// FlushWorkers bounds how many UNSTABLE writes FlushAll keeps in
-	// flight concurrently over the multiplexed channel (default 8;
-	// 1 serializes the flush).
-	FlushWorkers int
 	// Readahead is how many blocks the proxy prefetches ahead of a
 	// detected sequential read stream (default 4; negative disables).
 	// Only meaningful with DiskCache set.
 	Readahead int
-	// AsyncWindow bounds how many pipelined (future-API) calls the
-	// upstream session keeps in flight at once; submissions past the
-	// window block until a slot frees (backpressure). Default
-	// oncrpc.DefaultWindow; negative disables the bound.
-	AsyncWindow int
 	// Replication, when non-nil, replaces the single upstream with a
 	// replicated multi-backend namespace: block writes fan out to a
 	// placement-chosen replica set and are acknowledged at quorum,
@@ -110,12 +101,27 @@ type ClientConfig struct {
 	// favor of the per-backend dialers (each backend dials through
 	// sessionVia, so Channel still applies per backend).
 	Replication *ReplicationConfig
+
+	// window overrides oncrpc.DefaultWindow as the bound on the
+	// write-back and attribute-gather pipelines. Only tests set it.
+	window int
 }
 
-// upstream is the client proxy's channel to the server-side proxy:
-// either a plain single-shot RPC client or the reconnecting transport.
+// pipelineWindow is how many futures FlushAll and gatherAttrs keep
+// outstanding at once.
+func (c *ClientConfig) pipelineWindow() int {
+	if c.window > 0 {
+		return c.window
+	}
+	return oncrpc.DefaultWindow
+}
+
+// upstream is the client proxy's channel to the server-side proxy: a
+// plain single-shot RPC client, the reconnecting transport, or the
+// replicated backend pool. Go is the future form of Call.
 type upstream interface {
 	Call(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error
+	Go(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) *oncrpc.Pending
 	Close() error
 }
 
@@ -262,7 +268,7 @@ func (p *ClientProxy) sessionVia(ctx context.Context, dial Dialer) (*oncrpc.Clie
 		conn.Close()
 		return nil, nfs3.FH3{}, nil, err
 	}
-	return oncrpc.NewClientWindow(conn, nfs3.Program, nfs3.Version, p.cfg.asyncWindow()), root, conn, nil
+	return oncrpc.NewClient(conn, nfs3.Program, nfs3.Version), root, conn, nil
 }
 
 // mountVia issues MOUNT through its own connection via dial and
@@ -425,21 +431,32 @@ func (p *ClientProxy) opTimeout() time.Duration {
 	return defaultOpTimeout
 }
 
-// upCall issues an upstream RPC, crediting the wait back to the meter
-// so metered handler time approximates local processing (the paper's
-// proxy CPU, Figures 5/6) rather than wall-clock. Every operation
-// carries a deadline so a dead WAN link turns into a bounded error
-// instead of an indefinite hang.
+// upCall issues an upstream RPC. Every operation carries a deadline
+// so a dead WAN link turns into a bounded error instead of an
+// indefinite hang.
 func (p *ClientProxy) upCall(ctx context.Context, proc uint32, args xdr.Marshaler, res xdr.Unmarshaler) error {
+	defer creditWait(ctx, time.Now())
 	ctx, cancel := context.WithTimeout(ctx, p.opTimeout())
 	defer cancel()
-	if p.cfg.Meter == nil {
-		return p.up.Call(ctx, proc, args, res)
+	return p.up.Call(ctx, proc, args, res)
+}
+
+// upstreamWaitKey is the context key under which a metered handler
+// accumulates, as a *time.Duration, the time it spent waiting on
+// upstream calls. The handler charges the meter its wall time minus
+// that wait, so metered time approximates local processing (the
+// paper's proxy CPU, Figures 5/6). Calls made outside a metered
+// handler — FlushAll, readahead, RevalidateAttrs — carry none and
+// charge nothing. A pointer key boxes into the interface without
+// allocating.
+var upstreamWaitKey = new(int)
+
+// creditWait adds the time since start to the enclosing metered
+// handler's upstream wait, if there is one.
+func creditWait(ctx context.Context, start time.Time) {
+	if w, ok := ctx.Value(upstreamWaitKey).(*time.Duration); ok {
+		*w += time.Since(start)
 	}
-	start := time.Now()
-	err := p.up.Call(ctx, proc, args, res)
-	p.cfg.Meter.Add(-time.Since(start))
-	return err
 }
 
 func (p *ClientProxy) register() {
@@ -492,8 +509,9 @@ func (p *ClientProxy) register() {
 			fn := fn
 			h[k] = func(ctx context.Context, call *oncrpc.Call) (xdr.Marshaler, oncrpc.AcceptStat) {
 				start := time.Now()
-				res, stat := fn(ctx, call)
-				p.cfg.Meter.Add(time.Since(start))
+				var wait time.Duration
+				res, stat := fn(context.WithValue(ctx, upstreamWaitKey, &wait), call)
+				p.cfg.Meter.Add(time.Since(start) - wait)
 				return res, stat
 			}
 		}

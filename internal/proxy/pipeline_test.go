@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/nfs3"
@@ -52,12 +53,13 @@ func backendBytes(t testing.TB, st *testStack, name string, size int) []byte {
 	return buf[:n]
 }
 
-// timeFlush builds a stack over an emulated WAN link, dirties blocks
-// blocks of one file, and returns how long FlushAll took.
-func timeFlush(t testing.TB, workers, blocks int, rtt time.Duration) time.Duration {
+// timeFlush builds a stack over an emulated WAN link whose flush
+// pipeline is window deep, dirties blocks blocks of one file, and
+// returns how long FlushAll took.
+func timeFlush(t testing.TB, window, blocks int, rtt time.Duration) time.Duration {
 	t.Helper()
 	dc := newDiskCache(t)
-	st := buildStack(t, stackOpts{diskCache: dc, rtt: rtt, flushWorkers: workers, readahead: -1})
+	st := buildStack(t, stackOpts{diskCache: dc, rtt: rtt, window: window, readahead: -1})
 	payload := bytes.Repeat([]byte("W"), blocks*32*1024)
 	dirtyThroughMount(t, st, "flushme", payload)
 	if got := len(dc.DirtyFiles()); got == 0 {
@@ -65,7 +67,7 @@ func timeFlush(t testing.TB, workers, blocks int, rtt time.Duration) time.Durati
 	}
 	start := time.Now()
 	if err := st.clientProxy.FlushAll(context.Background()); err != nil {
-		t.Fatalf("FlushAll(%d workers): %v", workers, err)
+		t.Fatalf("FlushAll(window %d): %v", window, err)
 	}
 	elapsed := time.Since(start)
 	if got := backendBytes(t, st, "flushme", len(payload)+1); !bytes.Equal(got, payload) {
@@ -75,16 +77,20 @@ func timeFlush(t testing.TB, workers, blocks int, rtt time.Duration) time.Durati
 	if dp.FlushedBlocks < uint64(blocks) {
 		t.Fatalf("flushed %d blocks, want at least %d", dp.FlushedBlocks, blocks)
 	}
-	if workers > 1 && dp.FlushPeak < 2 {
-		t.Fatalf("flush concurrency peak %d with %d workers", dp.FlushPeak, workers)
+	if window > 1 && dp.FlushPeak < 2 {
+		t.Fatalf("flush concurrency peak %d with window %d", dp.FlushPeak, window)
+	}
+	if dp.FlushPeak > int64(window) {
+		t.Fatalf("flush concurrency peak %d exceeds window %d", dp.FlushPeak, window)
 	}
 	return elapsed
 }
 
 // TestParallelFlushSpeedup is the headline acceptance test for the
 // pipelined write-back: with a 20 ms one-way (40 ms RTT) link and 32
-// dirty blocks, 8 flush workers must be at least 4x faster than the
-// serial flush. The ideal ratio is ~6.6x (33 round trips down to ~5).
+// dirty blocks, an 8-deep flush window must be at least 4x faster than
+// a 1-deep (serial) one. The ideal ratio is ~6.6x (33 round trips
+// down to ~5).
 func TestParallelFlushSpeedup(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -306,5 +312,140 @@ func TestProxyReadaheadWarmsCache(t *testing.T) {
 	cs, _ := st.clientProxy.CacheStats()
 	if cs.ReadaheadHits == 0 && dp.InflightDedup == 0 {
 		t.Fatalf("readahead never helped a read: cache %+v datapath %+v", cs, dp)
+	}
+}
+
+// TestFlushPeakBoundedByWindow flushes four times the pipeline window
+// in dirty blocks and checks that no more than a window of WRITEs is
+// ever in flight, on every kind of upstream.
+func TestFlushPeakBoundedByWindow(t *testing.T) {
+	t.Parallel()
+	const window = 4
+	const blocks = 4 * window
+	payload := chaosPayload(7, blocks*32*1024)
+	check := func(t *testing.T, dc *cache.DiskCache, cp *ClientProxy) {
+		t.Helper()
+		if err := cp.FlushAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		dp := cp.DataPathStats()
+		if dp.FlushedBlocks < blocks {
+			t.Fatalf("flushed %d blocks, want %d", dp.FlushedBlocks, blocks)
+		}
+		if dp.FlushPeak < 2 || dp.FlushPeak > window {
+			t.Fatalf("flush peak %d, want 2..%d", dp.FlushPeak, window)
+		}
+		if n := len(dc.DirtyFiles()); n != 0 {
+			t.Fatalf("%d files still dirty after flush", n)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		recovery *RecoveryConfig
+	}{
+		{"plain", nil},
+		{"reconnecting", &RecoveryConfig{AttemptTimeout: 5 * time.Second}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dc := newDiskCache(t)
+			st := buildStack(t, stackOpts{diskCache: dc, rtt: 5 * time.Millisecond, recovery: tc.recovery, window: window, readahead: -1})
+			dirtyThroughMount(t, st, "bounded", payload)
+			check(t, dc, st.clientProxy)
+			if got := backendBytes(t, st, "bounded", len(payload)+1); !bytes.Equal(got, payload) {
+				t.Fatalf("backend holds %d bytes, want the %d written", len(got), len(payload))
+			}
+		})
+	}
+	t.Run("replicated", func(t *testing.T) {
+		t.Parallel()
+		dc := newDiskCache(t)
+		st := buildReplStack(t, replOpts{
+			n: 3, quorum: 2,
+			diskCache: dc,
+			window:    window,
+			readahead: -1,
+			// The slow third backend makes every write leg to it a
+			// straggler that runs on after the quorum ack.
+			rtts: []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 40 * time.Millisecond},
+		})
+		fs := st.mount(t, nfsclient.Options{})
+		ctx := context.Background()
+		f, err := fs.Create(ctx, "bounded", 0644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(ctx, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		check(t, dc, st.cp)
+		// Straggler legs finish after the quorum ack, and after the
+		// flush has moved on from the op that submitted them.
+		for b, backend := range st.backends {
+			backend := backend
+			waitFor(t, 10*time.Second, fmt.Sprintf("flushed bytes on backend %d", b), func() bool {
+				got, err := backendFile(backend, "bounded")
+				return err == nil && bytes.Equal(got, payload)
+			})
+		}
+	})
+}
+
+// TestMeterChargesOnlyHandlers checks the client proxy's busy meter
+// on a metered WAN stack: upstream waits are credited back only to
+// the metered handler that incurred them, so background readahead and
+// FlushAll can neither drive the meter negative nor move it at all.
+func TestMeterChargesOnlyHandlers(t *testing.T) {
+	t.Parallel()
+	meter := &metrics.Meter{}
+	dc := newDiskCache(t)
+	st := buildStack(t, stackOpts{diskCache: dc, rtt: 20 * time.Millisecond, meter: meter})
+	ctx := context.Background()
+
+	// Dirty data for the final flush, absorbed by the write-back cache.
+	dirtyThroughMount(t, st, "dirty", chaosPayload(1, 4*32*1024))
+
+	// A file that exists only upstream, read sequentially: the proxy
+	// detects the stream and prefetches ahead of it.
+	const scanBlocks = 12
+	scan := chaosPayload(2, scanBlocks*32*1024)
+	h, _, err := st.backend.Create(st.backend.Root(), "scan", vfs.SetAttr{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.backend.Write(h, 0, scan); err != nil {
+		t.Fatal(err)
+	}
+	fs := st.mount(t, nfsclient.Options{Readahead: -1})
+	f, err := fs.Open(ctx, "scan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(scan))
+	if _, err := f.ReadAt(ctx, buf, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, scan) {
+		t.Fatal("scan read wrong bytes")
+	}
+	f.Close(ctx)
+	if st.clientProxy.DataPathStats().ReadaheadIssued == 0 {
+		t.Fatal("the sequential scan issued no readahead")
+	}
+
+	before := meter.Busy()
+	if err := st.clientProxy.FlushAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	after := meter.Busy()
+	if after != before {
+		t.Fatalf("FlushAll moved the meter from %v to %v", before, after)
+	}
+	if after < 0 {
+		t.Fatalf("meter negative after scan and flush: %v", after)
 	}
 }

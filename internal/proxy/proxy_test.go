@@ -14,6 +14,7 @@ import (
 	"repro/internal/gridmap"
 	"repro/internal/gridsec"
 	"repro/internal/idmap"
+	"repro/internal/metrics"
 	"repro/internal/mountd"
 	"repro/internal/netem"
 	"repro/internal/nfs3"
@@ -39,16 +40,17 @@ type testStack struct {
 }
 
 type stackOpts struct {
-	fineGrained  bool
-	diskCache    *cache.DiskCache
-	plain        bool // gfs mode: no secure channel
-	userCred     *gridsec.Credential
-	suites       []securechan.Suite
-	recovery     *RecoveryConfig // fault-tolerant upstream channel
-	faulter      *netem.Faulter  // injects faults into the client→server link
-	rtt          time.Duration   // emulated WAN delay on the client→server link
-	flushWorkers int             // FlushAll concurrency (0 = default)
-	readahead    int             // proxy readahead depth (0 = default, <0 disables)
+	fineGrained bool
+	diskCache   *cache.DiskCache
+	plain       bool // gfs mode: no secure channel
+	userCred    *gridsec.Credential
+	suites      []securechan.Suite
+	recovery    *RecoveryConfig // fault-tolerant upstream channel
+	faulter     *netem.Faulter  // injects faults into the client→server link
+	rtt         time.Duration   // emulated WAN delay on the client→server link
+	window      int             // flush/gather pipeline window (0 = oncrpc.DefaultWindow)
+	readahead   int             // proxy readahead depth (0 = default, <0 disables)
+	meter       *metrics.Meter  // client proxy busy meter
 }
 
 func buildStack(t testing.TB, opts stackOpts) *testStack {
@@ -122,12 +124,13 @@ func buildStack(t testing.TB, opts stackOpts) *testStack {
 		serverDial = opts.faulter.Dialer(serverDial)
 	}
 	ccfg := ClientConfig{
-		ServerDial:   serverDial,
-		ExportPath:   "/GFS/alice",
-		DiskCache:    opts.diskCache,
-		Recovery:     opts.recovery,
-		FlushWorkers: opts.flushWorkers,
-		Readahead:    opts.readahead,
+		ServerDial: serverDial,
+		ExportPath: "/GFS/alice",
+		DiskCache:  opts.diskCache,
+		Recovery:   opts.recovery,
+		Readahead:  opts.readahead,
+		Meter:      opts.meter,
+		window:     opts.window,
 	}
 	if !opts.plain {
 		ccfg.Channel = &securechan.Config{Credential: user, Roots: st.ca.Pool(), Suites: opts.suites}

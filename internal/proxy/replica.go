@@ -25,7 +25,7 @@ import (
 // whole mount. replicaSet replaces the single upstream with k-way
 // block replication across N server proxies behind the same upstream
 // interface the rest of the proxy already uses: the write-back cache,
-// the flush worker pool and the readahead path all fan out through it
+// the flush pipeline and the readahead path all fan out through it
 // unchanged.
 //
 //   - Mutations fan out concurrently and are acknowledged at quorum;
@@ -716,7 +716,7 @@ func (rs *replicaSet) readTargets(fh nfs3.FH3, block uint64) []*replicaBackend {
 
 // writeTargets is the placement replica set for a block, healthy
 // members only: an ejected backend fails fast into the repair queue
-// instead of stalling a flush worker behind its reconnect backoff.
+// instead of stalling a flush WRITE behind its reconnect backoff.
 func (rs *replicaSet) writeTargets(fh nfs3.FH3, block uint64) (targets []*replicaBackend, skipped []*replicaBackend) {
 	for _, id := range rs.place.ReplicasFor(fh.Data, block) {
 		b := rs.backs[id]
@@ -1032,6 +1032,15 @@ func (rs *replicaSet) purgeName(key string) {
 	for _, b := range rs.backs {
 		b.dropFH(key)
 	}
+}
+
+// Go is the future form of Call. The hedged or quorum dispatch runs on
+// its own goroutine, so the flush and gather pipelines drive the
+// replicated upstream like a single session.
+func (rs *replicaSet) Go(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) *oncrpc.Pending {
+	return oncrpc.GoFunc(ctx, func(ctx context.Context) error {
+		return rs.Call(ctx, proc, args, reply)
+	})
 }
 
 // Call dispatches one upstream RPC across the replica pool: reads are
@@ -1477,13 +1486,15 @@ func (rs *replicaSet) callWriteFanout(ctx context.Context, a *nfs3.WriteArgs, ou
 	for _, b := range skipped {
 		rs.enqueueRepair(repairJob{backend: b.id, args: canon, version: version})
 	}
+	// Legs read canon, never a: stragglers outlive this call, and the
+	// caller may reuse its arguments once the quorum has acked.
 	return rs.quorum(ctx, targets, rs.place.Quorum,
 		func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-			bfh, err := b.resolve(ctx, a.Obj, resolveCreateFile)
+			bfh, err := b.resolve(ctx, canon.Obj, resolveCreateFile)
 			if err != nil {
 				return nil, err
 			}
-			wargs := &nfs3.WriteArgs{Obj: bfh, Offset: a.Offset, Count: a.Count, Stable: nfs3.FileSync, Data: a.Data}
+			wargs := &nfs3.WriteArgs{Obj: bfh, Offset: canon.Offset, Count: canon.Count, Stable: nfs3.FileSync, Data: canon.Data}
 			var res nfs3.WriteRes
 			return &res, b.callWrite(ctx, wargs, &res)
 		},

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -41,14 +42,14 @@ type replOpts struct {
 	replicas int
 	quorum   int
 
-	diskCache    *cache.DiskCache
-	recovery     *RecoveryConfig
-	hedgeDelay   time.Duration
-	ejectAfter   int
-	probe        time.Duration
-	readahead    int
-	flushWorkers int
-	rtts         []time.Duration // per-backend emulated link delay
+	diskCache  *cache.DiskCache
+	recovery   *RecoveryConfig
+	hedgeDelay time.Duration
+	ejectAfter int
+	probe      time.Duration
+	readahead  int
+	window     int             // flush/gather pipeline window (0 = oncrpc.DefaultWindow)
+	rtts       []time.Duration // per-backend emulated link delay
 }
 
 func buildReplStack(t testing.TB, opts replOpts) *replStack {
@@ -100,11 +101,11 @@ func buildReplStack(t testing.TB, opts replOpts) *replStack {
 	}
 
 	cp, err := NewClientProxy(ClientConfig{
-		ExportPath:   "/GFS/alice",
-		DiskCache:    opts.diskCache,
-		Recovery:     opts.recovery,
-		FlushWorkers: opts.flushWorkers,
-		Readahead:    opts.readahead,
+		ExportPath: "/GFS/alice",
+		DiskCache:  opts.diskCache,
+		Recovery:   opts.recovery,
+		Readahead:  opts.readahead,
+		window:     opts.window,
 		Replication: &ReplicationConfig{
 			Backends:      defs,
 			Replicas:      opts.replicas,
@@ -453,10 +454,17 @@ func TestChaosReplicatedBackendKillMidFlush(t *testing.T) {
 				}
 			}
 
-			// Kill the victim mid-flush.
+			// Kill the victim mid-flush, as soon as WRITE futures are in
+			// flight. A fixed delay misses the flush: the whole 24-block
+			// flush fits in one pipeline window and can end in ~2 RTTs.
 			flushErr := make(chan error, 1)
 			go func() { flushErr <- st.cp.FlushAll(ctx) }()
-			time.Sleep(10 * time.Millisecond)
+			for deadline := time.Now().Add(5 * time.Second); st.cp.DataPathStats().FlushActive == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("flush never put a WRITE in flight")
+				}
+				runtime.Gosched()
+			}
 			st.cutBackend(victim)
 
 			// No error surfaces while quorum holds.
@@ -519,9 +527,16 @@ func TestChaosReplicatedBackendKillMidFlush(t *testing.T) {
 					return err == nil && bytes.Equal(got, want)
 				})
 			}
-			if st.stats.RepairsQueued.Load() == 0 || st.stats.RepairedBlocks.Load() == 0 {
-				t.Fatalf("repair not counted: %+v", st.stats.Snapshot())
+			if st.stats.RepairsQueued.Load() == 0 {
+				t.Fatalf("repair not queued: %+v", st.stats.Snapshot())
 			}
+			// A cut leg whose WRITE landed before its reply was lost
+			// leaves the bytes in place, so the victim can match before
+			// the repair worker, backing off behind probe intervals, has
+			// re-applied the queued job.
+			waitFor(t, 20*time.Second, "repair counted", func() bool {
+				return st.stats.RepairedBlocks.Load() > 0
+			})
 		})
 	}
 }

@@ -3,7 +3,7 @@
 // pipelined WAN data path: the single-flight Group guarantees that
 // concurrent NFS clients and the readahead machinery never issue the
 // same upstream READ twice, and the Pool bounds how many background
-// prefetches (or flush writes) run at once.
+// prefetches run at once.
 //
 // The Group is modelled on golang.org/x/sync/singleflight but is
 // generic over the result type and deliberately smaller: no Forget, no
