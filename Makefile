@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos fuzz-short bench alloc-baseline sgfs-vet alloc-budget check
+.PHONY: build test vet race chaos flake fuzz-short bench alloc-baseline sgfs-vet alloc-budget check
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,24 @@ race:
 chaos:
 	$(GO) test -race -count=1 -timeout 300s -run 'Chaos|Fault|Reconnect|MidStream|TemporaryAccept|Recovery' \
 		./internal/netem/ ./internal/oncrpc/ ./internal/proxy/
+
+# Flake census: run the proxy, oncrpc and netem suites FLAKE_N times
+# under -race and print failed/total for every test (or subtest) that
+# failed at least once, then each package's final status line. It is
+# not part of `check`: a known flake would turn CI red. FLAKE_RUN
+# narrows it to matching tests, e.g.
+#   make flake FLAKE_N=200 FLAKE_RUN=TestReplicatedEndToEnd
+FLAKE_N ?= 20
+FLAKE_RUN ?= .
+flake:
+	@$(GO) test -race -v -count=$(FLAKE_N) -timeout 0 -run '$(FLAKE_RUN)' \
+		./internal/proxy/ ./internal/oncrpc/ ./internal/netem/ 2>&1 | \
+	awk '/^ *--- (PASS|FAIL|SKIP): / { total[$$3]++; if ($$2 == "FAIL:") failed[$$3]++ } \
+		/^(ok|FAIL|panic:)[ \t]/ { status[++n] = $$0 } \
+		END { printf "flake census: %d run(s) of each test\n", $(FLAKE_N); \
+			for (t in failed) { printf "  %s: %d/%d failed\n", t, failed[t], total[t]; bad++ } \
+			if (!bad) print "  no failures"; \
+			for (i = 1; i <= n; i++) print "  " status[i] }'
 
 # Short fuzzing pass: every Fuzz* target in the module runs for
 # FUZZTIME (default ~10s). This catches decoder panics and round-trip

@@ -437,6 +437,22 @@ func (c *DiskCache) PutAttr(fh nfs3.FH3, a nfs3.Fattr3) {
 	s.attrs[key] = a
 }
 
+// LoadOrStoreAttr caches a unless attributes for fh are already
+// cached, and returns the cached attributes. The check and the store
+// are one step under the shard lock, so a late server reply cannot
+// replace attributes a local write has updated meanwhile.
+func (c *DiskCache) LoadOrStoreAttr(fh nfs3.FH3, a nfs3.Fattr3) nfs3.Fattr3 {
+	key := string(fh.Data)
+	s := c.shard(key)
+	s.lock()
+	defer s.unlock()
+	if cur, ok := s.attrs[key]; ok {
+		return cur
+	}
+	s.attrs[key] = a
+	return a
+}
+
 // UpdateAttr mutates cached attributes if present.
 func (c *DiskCache) UpdateAttr(fh nfs3.FH3, f func(*nfs3.Fattr3)) {
 	key := string(fh.Data)

@@ -151,6 +151,15 @@ func TestAttrCache(t *testing.T) {
 	if _, ok := c.GetAttr(fh("f")); ok {
 		t.Fatal("invalidate failed")
 	}
+	if a := c.LoadOrStoreAttr(fh("f"), nfs3.Fattr3{Size: 7}); a.Size != 7 {
+		t.Fatalf("store into an empty slot returned size %d", a.Size)
+	}
+	if a := c.LoadOrStoreAttr(fh("f"), nfs3.Fattr3{Size: 0}); a.Size != 7 {
+		t.Fatalf("load returned size %d, want the cached 7", a.Size)
+	}
+	if a, _ := c.GetAttr(fh("f")); a.Size != 7 {
+		t.Fatalf("LoadOrStoreAttr replaced cached attrs: size %d", a.Size)
+	}
 }
 
 func TestAccessCache(t *testing.T) {

@@ -777,7 +777,9 @@ func (p *ClientProxy) read(ctx context.Context, call *oncrpc.Call) (xdr.Marshale
 }
 
 // cachedSize returns the file size, from the session attr cache or the
-// server.
+// server. Concurrent WRITE handlers can each miss and ask the server;
+// only the first reply is cached, so a late one (the size before any
+// of their writes) never replaces a size another handler has grown.
 func (p *ClientProxy) cachedSize(ctx context.Context, fh nfs3.FH3) (uint64, nfs3.Status) {
 	dc := p.cfg.DiskCache
 	if attr, ok := dc.GetAttr(fh); ok {
@@ -790,8 +792,7 @@ func (p *ClientProxy) cachedSize(ctx context.Context, fh nfs3.FH3) (uint64, nfs3
 	if res.Status != nfs3.OK {
 		return 0, res.Status
 	}
-	dc.PutAttr(fh, res.Attr)
-	return res.Attr.Size, nfs3.OK
+	return dc.LoadOrStoreAttr(fh, res.Attr).Size, nfs3.OK
 }
 
 // cacheBlock returns block idx of fh, fetching from the server on a

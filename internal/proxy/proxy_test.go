@@ -22,6 +22,7 @@ import (
 	"repro/internal/oncrpc"
 	"repro/internal/securechan"
 	"repro/internal/vfs"
+	"repro/internal/xdr"
 )
 
 // testStack is a complete SGFS deployment: MemFS-backed NFS server,
@@ -469,6 +470,59 @@ func TestWriteBackCancellation(t *testing.T) {
 	}
 }
 
+// TestWriteBackRecreateKeepsSize re-creates a flushed file through the
+// disk cache. The O_TRUNC SETATTR drops the cached attributes, so the
+// WRITE handlers that follow race to re-fetch the size; a late GETATTR
+// reply (size 0) must not replace a size another handler has already
+// grown, or FlushAll clips the new blocks to it and loses data.
+func TestWriteBackRecreateKeepsSize(t *testing.T) {
+	t.Parallel()
+	dc := newDiskCache(t)
+	st := buildStack(t, stackOpts{diskCache: dc})
+	fs := st.mount(t, nfsclient.Options{})
+	ctx := context.Background()
+	write := func(payload []byte) {
+		t.Helper()
+		f, err := fs.Create(ctx, "again", 0644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(ctx, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.clientProxy.FlushAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(bytes.Repeat([]byte("1"), 64*1024))
+	// The race loses data in most rounds, not all; a few rounds make
+	// the test fail reliably when the size store is not atomic.
+	for round := 0; round < 4; round++ {
+		payload := make([]byte, 128*1024)
+		for i := range payload {
+			payload[i] = byte(round + i/1024)
+		}
+		write(payload)
+
+		h, _, err := st.backend.Lookup(st.backend.Root(), "again")
+		if err != nil {
+			t.Fatal(err)
+		}
+		attr, _ := st.backend.GetAttr(h)
+		if attr.Size != uint64(len(payload)) {
+			t.Fatalf("round %d: server has %d bytes after re-create and flush, want %d", round, attr.Size, len(payload))
+		}
+		buf := make([]byte, len(payload))
+		n, _, err := st.backend.Read(h, 0, buf)
+		if err != nil || !bytes.Equal(buf[:n], payload) {
+			t.Fatalf("round %d: re-created file's flushed content differs from what was written", round)
+		}
+	}
+}
+
 func TestWriteBackFlushOnClose(t *testing.T) {
 	t.Parallel()
 	dc := newDiskCache(t)
@@ -570,11 +624,30 @@ func TestSuiteSelectionPerSession(t *testing.T) {
 }
 
 // TestFullProcedureSurface drives the less-travelled NFS procedures
-// through both proxies end to end.
+// through both proxies end to end, then every procedure the client
+// proxy forwards straight through its upstream. The replicated stack
+// runs 3 replicas at quorum 3, so no leg straggles and reads see every
+// acked mutation; there every reply must carry canonical fileids and
+// the synthetic replica fsid.
 func TestFullProcedureSurface(t *testing.T) {
 	t.Parallel()
-	st := buildStack(t, stackOpts{})
-	fs := st.mount(t, nfsclient.Options{})
+	t.Run("direct", func(t *testing.T) {
+		t.Parallel()
+		st := buildStack(t, stackOpts{})
+		fs := st.mount(t, nfsclient.Options{})
+		procedureSurface(t, fs)
+		upstreamSurface(t, st.clientProxy.up, fs.Root(), false)
+	})
+	t.Run("replicated", func(t *testing.T) {
+		t.Parallel()
+		st := buildReplStack(t, replOpts{n: 3, replicas: 3, quorum: 3})
+		fs := st.mount(t, nfsclient.Options{})
+		procedureSurface(t, fs)
+		upstreamSurface(t, st.cp.up, fs.Root(), true)
+	})
+}
+
+func procedureSurface(t *testing.T, fs *nfsclient.FileSystem) {
 	ctx := context.Background()
 
 	// Symlink + readlink through the proxies.
@@ -635,6 +708,153 @@ func TestFullProcedureSurface(t *testing.T) {
 	if err := fs.Rmdir(ctx, "d1"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// upstreamSurface issues every NFS procedure the client proxy forwards
+// (NULL through COMMIT) directly on its upstream. With repl set it
+// checks that every attribute in every reply names the canonical
+// handle's fileid and the replica fsid, whichever backend answered.
+func upstreamSurface(t *testing.T, up upstream, root nfs3.FH3, repl bool) {
+	ctx := context.Background()
+	call := func(proc uint32, args xdr.Marshaler, res xdr.Unmarshaler, status *nfs3.Status) {
+		t.Helper()
+		if err := up.Call(ctx, proc, args, res); err != nil {
+			t.Fatalf("%s: %v", nfs3.ProcName(proc), err)
+		}
+		if status != nil && *status != nfs3.OK {
+			t.Fatalf("%s: status %v", nfs3.ProcName(proc), vfs.Errno(*status))
+		}
+	}
+	canon := func(what string, a nfs3.PostOpAttr, fh nfs3.FH3) {
+		t.Helper()
+		if repl && (!a.Present || a.Attr.FileID != fileidOf(fh) || a.Attr.FSID != replicaFSID) {
+			t.Errorf("%s: attr %+v, want fileid %#x fsid %#x", what, a, fileidOf(fh), replicaFSID)
+		}
+	}
+	create := func(proc uint32, args xdr.Marshaler, dir nfs3.FH3) nfs3.FH3 {
+		t.Helper()
+		var r nfs3.CreateRes
+		call(proc, args, &r, &r.Status)
+		canon(nfs3.ProcName(proc), r.Attr, r.Obj.FH)
+		canon(nfs3.ProcName(proc)+" dir wcc", r.DirWcc.After, dir)
+		return r.Obj.FH
+	}
+	lookup := func(dir nfs3.FH3, name string) nfs3.FH3 {
+		t.Helper()
+		var r nfs3.LookupRes
+		call(nfs3.ProcLookup, &nfs3.LookupArgs{What: nfs3.DirOpArgs{Dir: dir, Name: name}}, &r, &r.Status)
+		canon("LOOKUP", r.Attr, r.Obj)
+		canon("LOOKUP dir", r.DirAttr, dir)
+		return r.Obj
+	}
+	wcc := func(proc uint32, args xdr.Marshaler, fh nfs3.FH3) {
+		t.Helper()
+		var r nfs3.WccRes
+		call(proc, args, &r, &r.Status)
+		canon(nfs3.ProcName(proc), r.Wcc.After, fh)
+	}
+
+	call(nfs3.ProcNull, nil, nil, nil)
+	file := create(nfs3.ProcCreate, &nfs3.CreateArgs{
+		Where: nfs3.DirOpArgs{Dir: root, Name: "u-file"}, Mode: nfs3.CreateUnchecked,
+		Attr: nfs3.Sattr3{SetMode: true, Mode: 0o644}}, root)
+	dir := create(nfs3.ProcMkdir, &nfs3.MkdirArgs{
+		Where: nfs3.DirOpArgs{Dir: root, Name: "u-dir"}, Attr: nfs3.Sattr3{SetMode: true, Mode: 0o755}}, root)
+	link := create(nfs3.ProcSymlink, &nfs3.SymlinkArgs{
+		Where: nfs3.DirOpArgs{Dir: dir, Name: "ln"}, Target: "../u-file"}, dir)
+
+	data := []byte("every procedure")
+	var w nfs3.WriteRes
+	call(nfs3.ProcWrite, &nfs3.WriteArgs{Obj: file, Count: uint32(len(data)), Stable: nfs3.Unstable, Data: data}, &w, &w.Status)
+	canon("WRITE", w.Wcc.After, file)
+	var cm nfs3.CommitRes
+	call(nfs3.ProcCommit, &nfs3.CommitArgs{Obj: file}, &cm, &cm.Status)
+	canon("COMMIT", cm.Wcc.After, file)
+	wcc(nfs3.ProcSetAttr, &nfs3.SetAttrArgs{Obj: file, Attr: nfs3.Sattr3{SetMode: true, Mode: 0o600}}, file)
+
+	var ga nfs3.GetAttrRes
+	call(nfs3.ProcGetAttr, &nfs3.GetAttrArgs{Obj: file}, &ga, &ga.Status)
+	canon("GETATTR", nfs3.PostOpAttr{Present: true, Attr: ga.Attr}, file)
+	if got := lookup(root, "u-file"); !bytes.Equal(got.Data, file.Data) {
+		t.Errorf("LOOKUP u-file: handle %x, CREATE returned %x", got.Data, file.Data)
+	}
+	var ac nfs3.AccessRes
+	call(nfs3.ProcAccess, &nfs3.AccessArgs{Obj: file, Access: 0x3f}, &ac, &ac.Status)
+	canon("ACCESS", ac.Attr, file)
+	var rd nfs3.ReadRes
+	call(nfs3.ProcRead, &nfs3.ReadArgs{Obj: file, Count: 64}, &rd, &rd.Status)
+	canon("READ", rd.Attr, file)
+	if !bytes.Equal(rd.Data, data) {
+		t.Errorf("READ: %q, want %q", rd.Data, data)
+	}
+	var rl nfs3.ReadLinkRes
+	call(nfs3.ProcReadLink, &nfs3.ReadLinkArgs{Obj: link}, &rl, &rl.Status)
+	canon("READLINK", rl.Attr, link)
+	if rl.Target != "../u-file" {
+		t.Errorf("READLINK: %q", rl.Target)
+	}
+
+	var lk nfs3.LinkRes
+	call(nfs3.ProcLink, &nfs3.LinkArgs{Obj: file, Link: nfs3.DirOpArgs{Dir: dir, Name: "hard"}}, &lk, &lk.Status)
+	canon("LINK", lk.Attr, file)
+	canon("LINK dir wcc", lk.LinkWcc.After, dir)
+
+	var rdir nfs3.ReadDirRes
+	call(nfs3.ProcReadDir, &nfs3.ReadDirArgs{Dir: dir, Count: 4096}, &rdir, &rdir.Status)
+	canon("READDIR dir", rdir.DirAttr, dir)
+	var rdp nfs3.ReadDirPlusRes
+	call(nfs3.ProcReadDirPlus, &nfs3.ReadDirPlusArgs{Dir: dir, DirCount: 4096, MaxCount: 8192}, &rdp, &rdp.Status)
+	canon("READDIRPLUS dir", rdp.DirAttr, dir)
+	names := map[string]bool{}
+	for _, e := range rdir.Entries {
+		if e.Name == "." || e.Name == ".." {
+			continue
+		}
+		names[e.Name] = true
+		if fh := lookup(dir, e.Name); repl && e.FileID != fileidOf(fh) {
+			t.Errorf("READDIR %s: fileid %#x, want %#x", e.Name, e.FileID, fileidOf(fh))
+		}
+	}
+	for _, e := range rdp.Entries {
+		if e.Name == "." || e.Name == ".." {
+			continue
+		}
+		fh := lookup(dir, e.Name)
+		if repl && (!e.FH.Present || !bytes.Equal(e.FH.FH.Data, fh.Data) || e.FileID != fileidOf(fh)) {
+			t.Errorf("READDIRPLUS %s: handle %x fileid %#x, want %x %#x", e.Name, e.FH.FH.Data, e.FileID, fh.Data, fileidOf(fh))
+		}
+		canon("READDIRPLUS "+e.Name, e.Attr, fh)
+	}
+	if !names["ln"] || !names["hard"] {
+		t.Errorf("READDIR u-dir: entries %v, want ln and hard", names)
+	}
+
+	var fss nfs3.FSStatRes
+	call(nfs3.ProcFSStat, &nfs3.FSStatArgs{Obj: root}, &fss, &fss.Status)
+	canon("FSSTAT", fss.Attr, root)
+	var fsi nfs3.FSInfoRes
+	call(nfs3.ProcFSInfo, &nfs3.FSStatArgs{Obj: root}, &fsi, &fsi.Status)
+	canon("FSINFO", fsi.Attr, root)
+	var pc nfs3.PathConfRes
+	call(nfs3.ProcPathConf, &nfs3.FSStatArgs{Obj: root}, &pc, &pc.Status)
+	canon("PATHCONF", pc.Attr, root)
+
+	var rn nfs3.RenameRes
+	call(nfs3.ProcRename, &nfs3.RenameArgs{
+		From: nfs3.DirOpArgs{Dir: root, Name: "u-file"},
+		To:   nfs3.DirOpArgs{Dir: dir, Name: "moved"}}, &rn, &rn.Status)
+	canon("RENAME from wcc", rn.FromWcc.After, root)
+	canon("RENAME to wcc", rn.ToWcc.After, dir)
+	lookup(dir, "moved")
+	// The handle minted before the rename still resolves on every
+	// backend (GETATTR after RENAME).
+	call(nfs3.ProcGetAttr, &nfs3.GetAttrArgs{Obj: file}, &ga, &ga.Status)
+	canon("GETATTR after RENAME", nfs3.PostOpAttr{Present: true, Attr: ga.Attr}, file)
+
+	for _, name := range []string{"hard", "moved", "ln"} {
+		wcc(nfs3.ProcRemove, &nfs3.RemoveArgs{Obj: nfs3.DirOpArgs{Dir: dir, Name: name}}, dir)
+	}
+	wcc(nfs3.ProcRmdir, &nfs3.RemoveArgs{Obj: nfs3.DirOpArgs{Dir: root, Name: "u-dir"}}, root)
 }
 
 // TestMknodRefusedThroughProxy confirms device-node creation is

@@ -73,18 +73,30 @@ type ReplicationConfig struct {
 	// HedgeDelay is how long a read waits on the primary replica
 	// before launching a hedged second request (default 30ms).
 	HedgeDelay time.Duration
-	// EjectAfter is the consecutive transport-failure count that
-	// ejects a backend (default 3).
-	EjectAfter int
-	// ProbeInterval paces (with jitter) the reintegration probes of an
-	// ejected backend (default 500ms).
-	ProbeInterval time.Duration
-	// RepairQueue bounds the background repair queue (default 256);
-	// overflow is shed and counted, never blocked on.
-	RepairQueue int
 	// Stats accumulates replication counters; one is created when nil.
 	Stats *metrics.ReplicaStats
+
+	// ejectAfter and probeInterval override defaultEjectAfter and
+	// defaultProbeInterval. Only tests set them.
+	ejectAfter    int
+	probeInterval time.Duration
 }
+
+const (
+	// defaultEjectAfter is the consecutive transport-failure count that
+	// ejects a backend.
+	defaultEjectAfter = 3
+	// defaultProbeInterval paces (with jitter) the reintegration probes
+	// of an ejected backend.
+	defaultProbeInterval = 500 * time.Millisecond
+	// repairQueueLen bounds the background repair queue; overflow is
+	// shed and counted, never blocked on.
+	repairQueueLen = 256
+	// repairMaxAttempts bounds how often one repair job is retried
+	// before it is shed (a later flush round or read failover covers
+	// the block).
+	repairMaxAttempts = 10
+)
 
 func (c *ReplicationConfig) hedgeDelay() time.Duration {
 	if c.HedgeDelay > 0 {
@@ -93,30 +105,19 @@ func (c *ReplicationConfig) hedgeDelay() time.Duration {
 	return 30 * time.Millisecond
 }
 
-func (c *ReplicationConfig) ejectAfter() int {
-	if c.EjectAfter > 0 {
-		return c.EjectAfter
+func (c *ReplicationConfig) ejectThreshold() int {
+	if c.ejectAfter > 0 {
+		return c.ejectAfter
 	}
-	return 3
+	return defaultEjectAfter
 }
 
-func (c *ReplicationConfig) probeInterval() time.Duration {
-	if c.ProbeInterval > 0 {
-		return c.ProbeInterval
+func (c *ReplicationConfig) probePeriod() time.Duration {
+	if c.probeInterval > 0 {
+		return c.probeInterval
 	}
-	return 500 * time.Millisecond
+	return defaultProbeInterval
 }
-
-func (c *ReplicationConfig) repairQueue() int {
-	if c.RepairQueue > 0 {
-		return c.RepairQueue
-	}
-	return 256
-}
-
-// repairMaxAttempts bounds how often one repair job is retried before
-// it is shed (a later flush round or read failover covers the block).
-const repairMaxAttempts = 10
 
 // nameEntry records how a canonical handle was minted, so any backend
 // can re-derive its local handle by walking LOOKUPs.
@@ -295,7 +296,7 @@ func (b *replicaBackend) observe(ctx context.Context, err error) {
 		return
 	}
 	b.bs.Failures.Add(1)
-	if int(b.fails.Add(1)) >= b.set.cfg.ejectAfter() {
+	if int(b.fails.Add(1)) >= b.set.cfg.ejectThreshold() {
 		b.eject()
 	}
 }
@@ -331,7 +332,7 @@ func (b *replicaBackend) probeLoop() {
 	defer b.set.wg.Done()
 	defer b.probing.Store(false)
 	b.bs.Health.CompareAndSwap(int32(metrics.BackendEjected), int32(metrics.BackendProbing))
-	interval := b.set.cfg.probeInterval()
+	interval := b.set.cfg.probePeriod()
 	for {
 		select {
 		case <-b.set.done:
@@ -586,7 +587,7 @@ func newReplicaSet(ctx context.Context, p *ClientProxy, cfg *ReplicationConfig) 
 		ns:        newCanonNS(),
 		blockSize: bs,
 		versions:  make(map[string]uint64),
-		repairq:   make(chan repairJob, cfg.repairQueue()),
+		repairq:   make(chan repairJob, repairQueueLen),
 		done:      make(chan struct{}),
 	}
 	rec := p.cfg.Recovery
@@ -836,13 +837,12 @@ func (e errStatusVote) Error() string {
 }
 
 // quorum fans a mutation out to targets concurrently and returns as
-// soon as `need` legs succeed; stragglers keep running on detached
-// deadlines and each ultimately-failed leg is handed to fail (which
-// queues repair for writes). accept runs exactly once, on the first
-// successful reply.
+// soon as `need` legs succeed; a leg succeeds when its RPC does and its
+// reply's status is OK. Stragglers keep running on detached deadlines
+// and each ultimately-failed leg is handed to fail (which queues repair
+// for writes). accept runs exactly once, on the first successful reply.
 func (rs *replicaSet) quorum(ctx context.Context, targets []*replicaBackend, need int,
 	leg func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error),
-	vote func(rep xdr.Unmarshaler) bool,
 	accept func(b *replicaBackend, rep xdr.Unmarshaler),
 	fail func(b *replicaBackend)) error {
 
@@ -868,8 +868,8 @@ func (rs *replicaSet) quorum(ctx context.Context, targets []*replicaBackend, nee
 			lctx, cancel := context.WithTimeout(context.Background(), rs.p.opTimeout())
 			defer cancel()
 			rep, err := leg(b, lctx)
-			if err == nil && vote != nil && !vote(rep) {
-				err = errStatusVote{status: statusOf(rep)}
+			if st := statusOf(rep); err == nil && st != nfs3.OK {
+				err = errStatusVote{status: st}
 			}
 			resc <- legResult{b: b, rep: rep, err: err}
 		}()
@@ -1011,7 +1011,7 @@ func (rs *replicaSet) requeueLater(j repairJob) {
 		rs.stats.RepairDrops.Add(1)
 		return
 	}
-	delay := jitterDuration(time.Duration(j.attempt) * rs.cfg.probeInterval())
+	delay := jitterDuration(time.Duration(j.attempt) * rs.cfg.probePeriod())
 	time.AfterFunc(delay, func() {
 		select {
 		case <-rs.done:
@@ -1043,419 +1043,238 @@ func (rs *replicaSet) Go(ctx context.Context, proc uint32, args xdr.Marshaler, r
 	})
 }
 
-// Call dispatches one upstream RPC across the replica pool: reads are
-// hedged, mutations are quorum fan-outs, and every handle crossing the
-// boundary is translated between the canonical namespace and the
-// answering backend's namespace.
+// Call dispatches one upstream RPC across the replica pool. Each leg
+// localizes the request for its backend and issues it, and the winning
+// reply is canonicalized: localize and canonReply are the translation
+// table. The procedure only picks the fan-out policy. Reads are hedged
+// over the placement replicas; WRITE (callWriteFanout) and COMMIT go to
+// the block's replica set, namespace mutations to every healthy
+// backend, and both are acknowledged at quorum.
 func (rs *replicaSet) Call(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
-	switch proc {
-	case nfs3.ProcNull:
-		return rs.hedged(ctx, proc, rs.ns.root, 0,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				return nil, b.call(ctx, nfs3.ProcNull, nil, nil)
-			},
-			func(*replicaBackend, xdr.Unmarshaler) {})
-
-	case nfs3.ProcGetAttr:
-		a := args.(*nfs3.GetAttrArgs)
-		out := reply.(*nfs3.GetAttrRes)
-		return rs.hedged(ctx, proc, a.Obj, 0,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bfh, err := b.resolve(ctx, a.Obj, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.GetAttrRes
-				return &res, b.call(ctx, proc, &nfs3.GetAttrArgs{Obj: bfh}, &res)
-			},
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.GetAttrRes)
-				if r.Status == nfs3.OK {
-					canonFattr(&r.Attr, a.Obj)
-				}
-				*out = *r
-			})
-
-	case nfs3.ProcLookup:
-		a := args.(*nfs3.LookupArgs)
-		out := reply.(*nfs3.LookupRes)
-		return rs.hedged(ctx, proc, a.What.Dir, 0,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bdir, err := b.resolve(ctx, a.What.Dir, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.LookupRes
-				largs := &nfs3.LookupArgs{What: nfs3.DirOpArgs{Dir: bdir, Name: a.What.Name}}
-				return &res, b.call(ctx, proc, largs, &res)
-			},
-			func(b *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.LookupRes)
-				if r.Status == nfs3.OK {
-					c := rs.ns.child(a.What.Dir, a.What.Name)
-					b.cacheFH(string(c.Data), r.Obj)
-					r.Obj = c
-					canonPostOp(&r.Attr, c)
-				}
-				canonPostOp(&r.DirAttr, a.What.Dir)
-				*out = *r
-			})
-
-	case nfs3.ProcAccess:
-		a := args.(*nfs3.AccessArgs)
-		out := reply.(*nfs3.AccessRes)
-		return rs.hedged(ctx, proc, a.Obj, 0,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bfh, err := b.resolve(ctx, a.Obj, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.AccessRes
-				return &res, b.call(ctx, proc, &nfs3.AccessArgs{Obj: bfh, Access: a.Access}, &res)
-			},
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.AccessRes)
-				canonPostOp(&r.Attr, a.Obj)
-				*out = *r
-			})
-
-	case nfs3.ProcReadLink:
-		a := args.(*nfs3.ReadLinkArgs)
-		out := reply.(*nfs3.ReadLinkRes)
-		return rs.hedged(ctx, proc, a.Obj, 0,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bfh, err := b.resolve(ctx, a.Obj, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.ReadLinkRes
-				return &res, b.call(ctx, proc, &nfs3.ReadLinkArgs{Obj: bfh}, &res)
-			},
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.ReadLinkRes)
-				canonPostOp(&r.Attr, a.Obj)
-				*out = *r
-			})
-
-	case nfs3.ProcRead:
-		a := args.(*nfs3.ReadArgs)
-		out := reply.(*nfs3.ReadRes)
-		return rs.hedged(ctx, proc, a.Obj, a.Offset/rs.blockSize,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bfh, err := b.resolve(ctx, a.Obj, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.ReadRes
-				rargs := &nfs3.ReadArgs{Obj: bfh, Offset: a.Offset, Count: a.Count}
-				return &res, b.call(ctx, proc, rargs, &res)
-			},
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.ReadRes)
-				canonPostOp(&r.Attr, a.Obj)
-				*out = *r
-			})
-
-	case nfs3.ProcReadDir:
-		a := args.(*nfs3.ReadDirArgs)
-		out := reply.(*nfs3.ReadDirRes)
-		return rs.hedged(ctx, proc, a.Dir, 0,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bdir, err := b.resolve(ctx, a.Dir, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.ReadDirRes
-				rargs := &nfs3.ReadDirArgs{Dir: bdir, Cookie: a.Cookie, CookieVerf: a.CookieVerf, Count: a.Count}
-				return &res, b.call(ctx, proc, rargs, &res)
-			},
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.ReadDirRes)
-				canonPostOp(&r.DirAttr, a.Dir)
-				for i := range r.Entries {
-					r.Entries[i].FileID = fileidOf(rs.ns.child(a.Dir, r.Entries[i].Name))
-				}
-				*out = *r
-			})
-
-	case nfs3.ProcReadDirPlus:
-		a := args.(*nfs3.ReadDirPlusArgs)
-		out := reply.(*nfs3.ReadDirPlusRes)
-		return rs.hedged(ctx, proc, a.Dir, 0,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bdir, err := b.resolve(ctx, a.Dir, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.ReadDirPlusRes
-				rargs := &nfs3.ReadDirPlusArgs{Dir: bdir, Cookie: a.Cookie, CookieVerf: a.CookieVerf, DirCount: a.DirCount, MaxCount: a.MaxCount}
-				return &res, b.call(ctx, proc, rargs, &res)
-			},
-			func(b *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.ReadDirPlusRes)
-				canonPostOp(&r.DirAttr, a.Dir)
-				for i := range r.Entries {
-					e := &r.Entries[i]
-					c := rs.ns.child(a.Dir, e.Name)
-					e.FileID = fileidOf(c)
-					if e.FH.Present {
-						b.cacheFH(string(c.Data), e.FH.FH)
-						e.FH.FH = c
-					}
-					canonPostOp(&e.Attr, c)
-				}
-				*out = *r
-			})
-
-	case nfs3.ProcFSStat:
-		a := args.(*nfs3.FSStatArgs)
-		out := reply.(*nfs3.FSStatRes)
-		return rs.hedged(ctx, proc, a.Obj, 0,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bfh, err := b.resolve(ctx, a.Obj, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.FSStatRes
-				return &res, b.call(ctx, proc, &nfs3.FSStatArgs{Obj: bfh}, &res)
-			},
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.FSStatRes)
-				canonPostOp(&r.Attr, a.Obj)
-				*out = *r
-			})
-
-	case nfs3.ProcFSInfo:
-		a := args.(*nfs3.FSStatArgs)
-		out := reply.(*nfs3.FSInfoRes)
-		return rs.hedged(ctx, proc, a.Obj, 0,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bfh, err := b.resolve(ctx, a.Obj, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.FSInfoRes
-				return &res, b.call(ctx, proc, &nfs3.FSStatArgs{Obj: bfh}, &res)
-			},
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.FSInfoRes)
-				canonPostOp(&r.Attr, a.Obj)
-				*out = *r
-			})
-
-	case nfs3.ProcPathConf:
-		a := args.(*nfs3.FSStatArgs)
-		out := reply.(*nfs3.PathConfRes)
-		return rs.hedged(ctx, proc, a.Obj, 0,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bfh, err := b.resolve(ctx, a.Obj, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.PathConfRes
-				return &res, b.call(ctx, proc, &nfs3.FSStatArgs{Obj: bfh}, &res)
-			},
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.PathConfRes)
-				canonPostOp(&r.Attr, a.Obj)
-				*out = *r
-			})
-
-	case nfs3.ProcWrite:
+	// WRITE first: the hedged and quorum legs below escape to their
+	// goroutines, and the flush's per-block path should not pay for them.
+	if proc == nfs3.ProcWrite {
 		return rs.callWriteFanout(ctx, args.(*nfs3.WriteArgs), reply.(*nfs3.WriteRes))
-
+	}
+	leg := func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
+		bargs, rep, err := b.localize(ctx, proc, args)
+		if err != nil {
+			return nil, err
+		}
+		return rep, b.call(ctx, proc, bargs, rep)
+	}
+	accept := func(b *replicaBackend, rep xdr.Unmarshaler) { rs.canonReply(b, proc, args, rep, reply) }
+	switch proc {
+	case nfs3.ProcNull, nfs3.ProcGetAttr, nfs3.ProcLookup, nfs3.ProcAccess, nfs3.ProcReadLink, nfs3.ProcRead,
+		nfs3.ProcReadDir, nfs3.ProcReadDirPlus, nfs3.ProcFSStat, nfs3.ProcFSInfo, nfs3.ProcPathConf:
+		fh, block := rs.readKey(args)
+		return rs.hedged(ctx, proc, fh, block, leg, accept)
 	case nfs3.ProcCommit:
 		a := args.(*nfs3.CommitArgs)
-		out := reply.(*nfs3.CommitRes)
 		targets, _ := rs.writeTargets(a.Obj, a.Offset/rs.blockSize)
-		return rs.quorum(ctx, targets, rs.place.Quorum,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bfh, err := b.resolve(ctx, a.Obj, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.CommitRes
-				cargs := &nfs3.CommitArgs{Obj: bfh, Offset: a.Offset, Count: a.Count}
-				return &res, b.call(ctx, proc, cargs, &res)
-			},
-			func(rep xdr.Unmarshaler) bool { return rep.(*nfs3.CommitRes).Status == nfs3.OK },
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.CommitRes)
-				// Replicated writes are FILE_SYNC everywhere; the
-				// verifier is meaningless across backends, so present a
-				// constant one.
-				r.Verf = [nfs3.WriteVerfSize]byte{}
-				canonWcc(&r.Wcc, a.Obj)
-				*out = *r
-			},
-			nil)
-
-	case nfs3.ProcSetAttr:
-		a := args.(*nfs3.SetAttrArgs)
-		out := reply.(*nfs3.WccRes)
-		return rs.quorum(ctx, rs.nsTargets(), rs.place.Quorum,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bfh, err := b.resolve(ctx, a.Obj, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.WccRes
-				sargs := &nfs3.SetAttrArgs{Obj: bfh, Attr: a.Attr, GuardCheck: a.GuardCheck, GuardCtime: a.GuardCtime}
-				return &res, b.call(ctx, proc, sargs, &res)
-			},
-			func(rep xdr.Unmarshaler) bool { return rep.(*nfs3.WccRes).Status == nfs3.OK },
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.WccRes)
-				canonWcc(&r.Wcc, a.Obj)
-				*out = *r
-			},
-			nil)
-
-	case nfs3.ProcCreate:
-		a := args.(*nfs3.CreateArgs)
-		out := reply.(*nfs3.CreateRes)
-		return rs.quorum(ctx, rs.nsTargets(), rs.place.Quorum,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bdir, err := b.resolve(ctx, a.Where.Dir, resolveCreateDirs)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.CreateRes
-				cargs := &nfs3.CreateArgs{Where: nfs3.DirOpArgs{Dir: bdir, Name: a.Where.Name}, Mode: a.Mode, Attr: a.Attr, Verf: a.Verf}
-				return &res, b.call(ctx, proc, cargs, &res)
-			},
-			func(rep xdr.Unmarshaler) bool { return rep.(*nfs3.CreateRes).Status == nfs3.OK },
-			rs.acceptCreate(a.Where, out),
-			nil)
-
-	case nfs3.ProcMkdir:
-		a := args.(*nfs3.MkdirArgs)
-		out := reply.(*nfs3.CreateRes)
-		return rs.quorum(ctx, rs.nsTargets(), rs.place.Quorum,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bdir, err := b.resolve(ctx, a.Where.Dir, resolveCreateDirs)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.CreateRes
-				margs := &nfs3.MkdirArgs{Where: nfs3.DirOpArgs{Dir: bdir, Name: a.Where.Name}, Attr: a.Attr}
-				return &res, b.call(ctx, proc, margs, &res)
-			},
-			func(rep xdr.Unmarshaler) bool { return rep.(*nfs3.CreateRes).Status == nfs3.OK },
-			rs.acceptCreate(a.Where, out),
-			nil)
-
-	case nfs3.ProcSymlink:
-		a := args.(*nfs3.SymlinkArgs)
-		out := reply.(*nfs3.CreateRes)
-		return rs.quorum(ctx, rs.nsTargets(), rs.place.Quorum,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bdir, err := b.resolve(ctx, a.Where.Dir, resolveCreateDirs)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.CreateRes
-				sargs := &nfs3.SymlinkArgs{Where: nfs3.DirOpArgs{Dir: bdir, Name: a.Where.Name}, Attr: a.Attr, Target: a.Target}
-				return &res, b.call(ctx, proc, sargs, &res)
-			},
-			func(rep xdr.Unmarshaler) bool { return rep.(*nfs3.CreateRes).Status == nfs3.OK },
-			rs.acceptCreate(a.Where, out),
-			nil)
-
-	case nfs3.ProcRemove, nfs3.ProcRmdir:
-		a := args.(*nfs3.RemoveArgs)
-		out := reply.(*nfs3.WccRes)
-		return rs.quorum(ctx, rs.nsTargets(), rs.place.Quorum,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bdir, err := b.resolve(ctx, a.Obj.Dir, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.WccRes
-				rargs := &nfs3.RemoveArgs{Obj: nfs3.DirOpArgs{Dir: bdir, Name: a.Obj.Name}}
-				return &res, b.call(ctx, proc, rargs, &res)
-			},
-			func(rep xdr.Unmarshaler) bool { return rep.(*nfs3.WccRes).Status == nfs3.OK },
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.WccRes)
-				rs.purgeName(rs.ns.key(a.Obj.Dir, a.Obj.Name))
-				canonWcc(&r.Wcc, a.Obj.Dir)
-				*out = *r
-			},
-			nil)
-
-	case nfs3.ProcRename:
-		a := args.(*nfs3.RenameArgs)
-		out := reply.(*nfs3.RenameRes)
-		return rs.quorum(ctx, rs.nsTargets(), rs.place.Quorum,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bfrom, err := b.resolve(ctx, a.From.Dir, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				bto, err := b.resolve(ctx, a.To.Dir, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.RenameRes
-				rargs := &nfs3.RenameArgs{
-					From: nfs3.DirOpArgs{Dir: bfrom, Name: a.From.Name},
-					To:   nfs3.DirOpArgs{Dir: bto, Name: a.To.Name},
-				}
-				return &res, b.call(ctx, proc, rargs, &res)
-			},
-			func(rep xdr.Unmarshaler) bool { return rep.(*nfs3.RenameRes).Status == nfs3.OK },
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.RenameRes)
-				oldKey := rs.ns.key(a.From.Dir, a.From.Name)
-				// An overwritten target loses its identity; the moved
-				// file keeps its canonical handle, now resolving via the
-				// new path.
-				rs.purgeName(rs.ns.key(a.To.Dir, a.To.Name))
-				rs.ns.rebind(oldKey, a.To.Dir, a.To.Name)
-				canonWcc(&r.FromWcc, a.From.Dir)
-				canonWcc(&r.ToWcc, a.To.Dir)
-				*out = *r
-			},
-			nil)
-
-	case nfs3.ProcLink:
-		a := args.(*nfs3.LinkArgs)
-		out := reply.(*nfs3.LinkRes)
-		return rs.quorum(ctx, rs.nsTargets(), rs.place.Quorum,
-			func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-				bobj, err := b.resolve(ctx, a.Obj, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				bdir, err := b.resolve(ctx, a.Link.Dir, resolveOnly)
-				if err != nil {
-					return nil, err
-				}
-				var res nfs3.LinkRes
-				largs := &nfs3.LinkArgs{Obj: bobj, Link: nfs3.DirOpArgs{Dir: bdir, Name: a.Link.Name}}
-				return &res, b.call(ctx, proc, largs, &res)
-			},
-			func(rep xdr.Unmarshaler) bool { return rep.(*nfs3.LinkRes).Status == nfs3.OK },
-			func(_ *replicaBackend, rep xdr.Unmarshaler) {
-				r := rep.(*nfs3.LinkRes)
-				rs.ns.child(a.Link.Dir, a.Link.Name)
-				canonPostOp(&r.Attr, a.Obj)
-				canonWcc(&r.LinkWcc, a.Link.Dir)
-				*out = *r
-			},
-			nil)
-
+		return rs.quorum(ctx, targets, rs.place.Quorum, leg, accept, nil)
+	case nfs3.ProcSetAttr, nfs3.ProcCreate, nfs3.ProcMkdir, nfs3.ProcSymlink,
+		nfs3.ProcRemove, nfs3.ProcRmdir, nfs3.ProcRename, nfs3.ProcLink:
+		return rs.quorum(ctx, rs.nsTargets(), rs.place.Quorum, leg, accept, nil)
 	default:
 		return fmt.Errorf("proxy: replica layer: unsupported procedure %d", proc)
 	}
 }
 
-// acceptCreate canonicalizes a CREATE/MKDIR/SYMLINK winner reply: the
-// new object gets its canonical handle and fileid.
-func (rs *replicaSet) acceptCreate(where nfs3.DirOpArgs, out *nfs3.CreateRes) func(*replicaBackend, xdr.Unmarshaler) {
-	return func(b *replicaBackend, rep xdr.Unmarshaler) {
-		r := rep.(*nfs3.CreateRes)
+// readKey is the handle and block a read is placed by: the object, or
+// the directory for LOOKUP and READDIR(PLUS). NULL has no handle and
+// goes to the export root's replicas.
+func (rs *replicaSet) readKey(args xdr.Marshaler) (nfs3.FH3, uint64) {
+	switch a := args.(type) {
+	case *nfs3.ReadArgs:
+		return a.Obj, a.Offset / rs.blockSize
+	case *nfs3.GetAttrArgs:
+		return a.Obj, 0
+	case *nfs3.AccessArgs:
+		return a.Obj, 0
+	case *nfs3.ReadLinkArgs:
+		return a.Obj, 0
+	case *nfs3.FSStatArgs:
+		return a.Obj, 0
+	case *nfs3.LookupArgs:
+		return a.What.Dir, 0
+	case *nfs3.ReadDirArgs:
+		return a.Dir, 0
+	case *nfs3.ReadDirPlusArgs:
+		return a.Dir, 0
+	}
+	return rs.ns.root, 0
+}
+
+// localize is the request half of the translation table. It copies
+// args and resolves each canonical handle in the copy to backend b's
+// handle: reads, COMMIT, SETATTR and removals need the object to
+// exist there; creates materialize missing ancestor directories, and
+// WRITE its file too, so a lagging backend heals lazily. It returns
+// the backend args and a fresh reply for the leg to decode into.
+func (b *replicaBackend) localize(ctx context.Context, proc uint32, args xdr.Marshaler) (xdr.Marshaler, xdr.Unmarshaler, error) {
+	var err error
+	switch proc {
+	case nfs3.ProcGetAttr:
+		a := *args.(*nfs3.GetAttrArgs)
+		a.Obj, err = b.resolve(ctx, a.Obj, resolveOnly)
+		return &a, new(nfs3.GetAttrRes), err
+	case nfs3.ProcLookup:
+		a := *args.(*nfs3.LookupArgs)
+		a.What.Dir, err = b.resolve(ctx, a.What.Dir, resolveOnly)
+		return &a, new(nfs3.LookupRes), err
+	case nfs3.ProcAccess:
+		a := *args.(*nfs3.AccessArgs)
+		a.Obj, err = b.resolve(ctx, a.Obj, resolveOnly)
+		return &a, new(nfs3.AccessRes), err
+	case nfs3.ProcReadLink:
+		a := *args.(*nfs3.ReadLinkArgs)
+		a.Obj, err = b.resolve(ctx, a.Obj, resolveOnly)
+		return &a, new(nfs3.ReadLinkRes), err
+	case nfs3.ProcRead:
+		a := *args.(*nfs3.ReadArgs)
+		a.Obj, err = b.resolve(ctx, a.Obj, resolveOnly)
+		return &a, new(nfs3.ReadRes), err
+	case nfs3.ProcReadDir:
+		a := *args.(*nfs3.ReadDirArgs)
+		a.Dir, err = b.resolve(ctx, a.Dir, resolveOnly)
+		return &a, new(nfs3.ReadDirRes), err
+	case nfs3.ProcReadDirPlus:
+		a := *args.(*nfs3.ReadDirPlusArgs)
+		a.Dir, err = b.resolve(ctx, a.Dir, resolveOnly)
+		return &a, new(nfs3.ReadDirPlusRes), err
+	case nfs3.ProcFSStat, nfs3.ProcFSInfo, nfs3.ProcPathConf:
+		a := *args.(*nfs3.FSStatArgs)
+		a.Obj, err = b.resolve(ctx, a.Obj, resolveOnly)
+		var rep xdr.Unmarshaler = new(nfs3.FSStatRes)
+		if proc == nfs3.ProcFSInfo {
+			rep = new(nfs3.FSInfoRes)
+		} else if proc == nfs3.ProcPathConf {
+			rep = new(nfs3.PathConfRes)
+		}
+		return &a, rep, err
+	case nfs3.ProcWrite:
+		a := *args.(*nfs3.WriteArgs)
+		a.Obj, err = b.resolve(ctx, a.Obj, resolveCreateFile)
+		return &a, new(nfs3.WriteRes), err
+	case nfs3.ProcCommit:
+		a := *args.(*nfs3.CommitArgs)
+		a.Obj, err = b.resolve(ctx, a.Obj, resolveOnly)
+		return &a, new(nfs3.CommitRes), err
+	case nfs3.ProcSetAttr:
+		a := *args.(*nfs3.SetAttrArgs)
+		a.Obj, err = b.resolve(ctx, a.Obj, resolveOnly)
+		return &a, new(nfs3.WccRes), err
+	case nfs3.ProcCreate:
+		a := *args.(*nfs3.CreateArgs)
+		a.Where.Dir, err = b.resolve(ctx, a.Where.Dir, resolveCreateDirs)
+		return &a, new(nfs3.CreateRes), err
+	case nfs3.ProcMkdir:
+		a := *args.(*nfs3.MkdirArgs)
+		a.Where.Dir, err = b.resolve(ctx, a.Where.Dir, resolveCreateDirs)
+		return &a, new(nfs3.CreateRes), err
+	case nfs3.ProcSymlink:
+		a := *args.(*nfs3.SymlinkArgs)
+		a.Where.Dir, err = b.resolve(ctx, a.Where.Dir, resolveCreateDirs)
+		return &a, new(nfs3.CreateRes), err
+	case nfs3.ProcRemove, nfs3.ProcRmdir:
+		a := *args.(*nfs3.RemoveArgs)
+		a.Obj.Dir, err = b.resolve(ctx, a.Obj.Dir, resolveOnly)
+		return &a, new(nfs3.WccRes), err
+	case nfs3.ProcRename:
+		a := *args.(*nfs3.RenameArgs)
+		if a.From.Dir, err = b.resolve(ctx, a.From.Dir, resolveOnly); err == nil {
+			a.To.Dir, err = b.resolve(ctx, a.To.Dir, resolveOnly)
+		}
+		return &a, new(nfs3.RenameRes), err
+	case nfs3.ProcLink:
+		a := *args.(*nfs3.LinkArgs)
+		if a.Obj, err = b.resolve(ctx, a.Obj, resolveOnly); err == nil {
+			a.Link.Dir, err = b.resolve(ctx, a.Link.Dir, resolveOnly)
+		}
+		return &a, new(nfs3.LinkRes), err
+	}
+	return nil, nil, nil // NULL: no args, no reply body
+}
+
+// canonReply is the reply half of the translation table. It copies the
+// winning backend's reply rep into the caller's reply out and rewrites
+// out into the canonical namespace: fileids, fsid, wcc attributes and
+// handles. It also keeps the namespace in step with the reply: names a
+// reply binds are minted (and b's handle for them cached), and names
+// REMOVE, RMDIR and RENAME retire are forgotten.
+func (rs *replicaSet) canonReply(b *replicaBackend, proc uint32, args xdr.Marshaler, rep, out xdr.Unmarshaler) {
+	switch proc {
+	case nfs3.ProcGetAttr:
+		a, r := args.(*nfs3.GetAttrArgs), into[nfs3.GetAttrRes](out, rep)
+		if r.Status == nfs3.OK {
+			canonFattr(&r.Attr, a.Obj)
+		}
+	case nfs3.ProcLookup:
+		a, r := args.(*nfs3.LookupArgs), into[nfs3.LookupRes](out, rep)
+		if r.Status == nfs3.OK {
+			c := rs.ns.child(a.What.Dir, a.What.Name)
+			b.cacheFH(string(c.Data), r.Obj)
+			r.Obj = c
+			canonPostOp(&r.Attr, c)
+		}
+		canonPostOp(&r.DirAttr, a.What.Dir)
+	case nfs3.ProcAccess:
+		canonPostOp(&into[nfs3.AccessRes](out, rep).Attr, args.(*nfs3.AccessArgs).Obj)
+	case nfs3.ProcReadLink:
+		canonPostOp(&into[nfs3.ReadLinkRes](out, rep).Attr, args.(*nfs3.ReadLinkArgs).Obj)
+	case nfs3.ProcRead:
+		canonPostOp(&into[nfs3.ReadRes](out, rep).Attr, args.(*nfs3.ReadArgs).Obj)
+	case nfs3.ProcReadDir:
+		a, r := args.(*nfs3.ReadDirArgs), into[nfs3.ReadDirRes](out, rep)
+		canonPostOp(&r.DirAttr, a.Dir)
+		for i := range r.Entries {
+			r.Entries[i].FileID = fileidOf(rs.ns.child(a.Dir, r.Entries[i].Name))
+		}
+	case nfs3.ProcReadDirPlus:
+		a, r := args.(*nfs3.ReadDirPlusArgs), into[nfs3.ReadDirPlusRes](out, rep)
+		canonPostOp(&r.DirAttr, a.Dir)
+		for i := range r.Entries {
+			e := &r.Entries[i]
+			c := rs.ns.child(a.Dir, e.Name)
+			e.FileID = fileidOf(c)
+			if e.FH.Present {
+				b.cacheFH(string(c.Data), e.FH.FH)
+				e.FH.FH = c
+			}
+			canonPostOp(&e.Attr, c)
+		}
+	case nfs3.ProcFSStat:
+		canonPostOp(&into[nfs3.FSStatRes](out, rep).Attr, args.(*nfs3.FSStatArgs).Obj)
+	case nfs3.ProcFSInfo:
+		canonPostOp(&into[nfs3.FSInfoRes](out, rep).Attr, args.(*nfs3.FSStatArgs).Obj)
+	case nfs3.ProcPathConf:
+		canonPostOp(&into[nfs3.PathConfRes](out, rep).Attr, args.(*nfs3.FSStatArgs).Obj)
+	case nfs3.ProcWrite:
+		// Replicated writes are FILE_SYNC everywhere and the backends'
+		// verifiers do not compose, so WRITE and COMMIT present a
+		// constant verifier and the flush never settles with COMMIT.
+		r := into[nfs3.WriteRes](out, rep)
+		r.Committed = nfs3.FileSync
+		r.Verf = [nfs3.WriteVerfSize]byte{}
+		canonWcc(&r.Wcc, args.(*nfs3.WriteArgs).Obj)
+	case nfs3.ProcCommit:
+		r := into[nfs3.CommitRes](out, rep)
+		r.Verf = [nfs3.WriteVerfSize]byte{}
+		canonWcc(&r.Wcc, args.(*nfs3.CommitArgs).Obj)
+	case nfs3.ProcSetAttr:
+		canonWcc(&into[nfs3.WccRes](out, rep).Wcc, args.(*nfs3.SetAttrArgs).Obj)
+	case nfs3.ProcCreate, nfs3.ProcMkdir, nfs3.ProcSymlink:
+		var where nfs3.DirOpArgs
+		switch a := args.(type) {
+		case *nfs3.CreateArgs:
+			where = a.Where
+		case *nfs3.MkdirArgs:
+			where = a.Where
+		case *nfs3.SymlinkArgs:
+			where = a.Where
+		}
+		r := into[nfs3.CreateRes](out, rep)
 		if r.Status == nfs3.OK {
 			c := rs.ns.child(where.Dir, where.Name)
 			if r.Obj.Present {
@@ -1465,8 +1284,32 @@ func (rs *replicaSet) acceptCreate(where nfs3.DirOpArgs, out *nfs3.CreateRes) fu
 			canonPostOp(&r.Attr, c)
 		}
 		canonWcc(&r.DirWcc, where.Dir)
-		*out = *r
+	case nfs3.ProcRemove, nfs3.ProcRmdir:
+		a := args.(*nfs3.RemoveArgs)
+		rs.purgeName(rs.ns.key(a.Obj.Dir, a.Obj.Name))
+		canonWcc(&into[nfs3.WccRes](out, rep).Wcc, a.Obj.Dir)
+	case nfs3.ProcRename:
+		a, r := args.(*nfs3.RenameArgs), into[nfs3.RenameRes](out, rep)
+		// An overwritten target loses its identity; the moved file
+		// keeps its canonical handle, now resolving via the new path.
+		rs.purgeName(rs.ns.key(a.To.Dir, a.To.Name))
+		rs.ns.rebind(rs.ns.key(a.From.Dir, a.From.Name), a.To.Dir, a.To.Name)
+		canonWcc(&r.FromWcc, a.From.Dir)
+		canonWcc(&r.ToWcc, a.To.Dir)
+	case nfs3.ProcLink:
+		a, r := args.(*nfs3.LinkArgs), into[nfs3.LinkRes](out, rep)
+		rs.ns.child(a.Link.Dir, a.Link.Name)
+		canonPostOp(&r.Attr, a.Obj)
+		canonWcc(&r.LinkWcc, a.Link.Dir)
 	}
+}
+
+// into copies the backend reply rep into the caller's reply out, both
+// of type *T, and returns out for rewriting.
+func into[T any](out, rep any) *T {
+	o := out.(*T)
+	*o = *rep.(*T)
+	return o
 }
 
 // callWriteFanout fans one WRITE out to the block's replica set as
@@ -1490,22 +1333,13 @@ func (rs *replicaSet) callWriteFanout(ctx context.Context, a *nfs3.WriteArgs, ou
 	// caller may reuse its arguments once the quorum has acked.
 	return rs.quorum(ctx, targets, rs.place.Quorum,
 		func(b *replicaBackend, ctx context.Context) (xdr.Unmarshaler, error) {
-			bfh, err := b.resolve(ctx, canon.Obj, resolveCreateFile)
+			bargs, rep, err := b.localize(ctx, nfs3.ProcWrite, canon)
 			if err != nil {
 				return nil, err
 			}
-			wargs := &nfs3.WriteArgs{Obj: bfh, Offset: canon.Offset, Count: canon.Count, Stable: nfs3.FileSync, Data: canon.Data}
-			var res nfs3.WriteRes
-			return &res, b.callWrite(ctx, wargs, &res)
+			return rep, b.callWrite(ctx, bargs.(*nfs3.WriteArgs), rep.(*nfs3.WriteRes))
 		},
-		func(rep xdr.Unmarshaler) bool { return rep.(*nfs3.WriteRes).Status == nfs3.OK },
-		func(_ *replicaBackend, rep xdr.Unmarshaler) {
-			r := rep.(*nfs3.WriteRes)
-			r.Committed = nfs3.FileSync
-			r.Verf = [nfs3.WriteVerfSize]byte{}
-			canonWcc(&r.Wcc, a.Obj)
-			*out = *r
-		},
+		func(b *replicaBackend, rep xdr.Unmarshaler) { rs.canonReply(b, nfs3.ProcWrite, canon, rep, out) },
 		func(b *replicaBackend) {
 			rs.enqueueRepair(repairJob{backend: b.id, args: canon, version: version})
 		})

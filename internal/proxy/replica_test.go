@@ -111,8 +111,8 @@ func buildReplStack(t testing.TB, opts replOpts) *replStack {
 			Replicas:      opts.replicas,
 			Quorum:        opts.quorum,
 			HedgeDelay:    opts.hedgeDelay,
-			EjectAfter:    opts.ejectAfter,
-			ProbeInterval: opts.probe,
+			ejectAfter:    opts.ejectAfter,
+			probeInterval: opts.probe,
 			Stats:         st.stats,
 		},
 	})
