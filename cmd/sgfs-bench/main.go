@@ -44,7 +44,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "sgfs-bench: bad -rtts value %q\n", part)
 				os.Exit(2)
 			}
-			list = append(list, time.Duration(ms))
+			list = append(list, time.Duration(ms)*time.Millisecond)
 		}
 		sc.WANRTTs = list
 	}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sgfs-vet [-C dir] [-ignore file] [-run a,b] [-all] [-json] [-timing] [-prune] [-<analyzer>=false ...] [pattern ...]
-//	sgfs-vet -annotate report.json [-budget 120s]
+//	sgfs-vet -annotate report.json [-budget 150s]
 //	sgfs-vet -alloc-census            # print the hot-path alloc census as JSON
 //	sgfs-vet -alloc-budget [-alloc-baseline file]
 //

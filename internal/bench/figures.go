@@ -21,8 +21,14 @@ type Scale struct {
 	ClientCacheBytes int64
 	Runs             int
 	SampleInterval   time.Duration
-	WANRTTs          []time.Duration
+	WANRTTs          []time.Duration // Figure 8's round-trip times
 	MABRTT           time.Duration
+}
+
+// fig8RTTs is the paper's Figure 8 RTT sweep.
+func fig8RTTs() []time.Duration {
+	ms := time.Millisecond
+	return []time.Duration{5 * ms, 10 * ms, 20 * ms, 40 * ms, 80 * ms}
 }
 
 // FullScale returns the paper-proportioned parameters.
@@ -36,7 +42,7 @@ func FullScale() Scale {
 		ClientCacheBytes: 32 << 20,
 		Runs:             3,
 		SampleInterval:   time.Second,
-		WANRTTs:          []time.Duration{5, 10, 20, 40, 80},
+		WANRTTs:          fig8RTTs(),
 		MABRTT:           40 * time.Millisecond,
 	}
 }
@@ -52,17 +58,9 @@ func QuickScale() Scale {
 		ClientCacheBytes: 2 << 20,
 		Runs:             1,
 		SampleInterval:   200 * time.Millisecond,
-		WANRTTs:          []time.Duration{5, 10, 20, 40, 80},
+		WANRTTs:          fig8RTTs(),
 		MABRTT:           40 * time.Millisecond,
 	}
-}
-
-func (s Scale) wanRTTs() []time.Duration {
-	out := make([]time.Duration, len(s.WANRTTs))
-	for i, r := range s.WANRTTs {
-		out[i] = r * time.Millisecond
-	}
-	return out
 }
 
 // RunFig4 regenerates Figure 4: IOzone read/reread runtime on every
@@ -200,7 +198,7 @@ func RunFig7(w io.Writer, sc Scale) error {
 func RunFig8(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "Figure 8: PostMark total runtime vs RTT, nfs-v3 vs sgfs(+disk cache)\n")
 	tbl := NewTable("RTT(ms)", "nfs-v3(s)", "sgfs(s)", "speedup")
-	for _, rtt := range sc.wanRTTs() {
+	for _, rtt := range sc.WANRTTs {
 		var times [2]float64
 		for i, cfg := range []StackConfig{
 			{Setup: SetupNFSv3, RTT: rtt, ClientCacheBytes: sc.ClientCacheBytes},

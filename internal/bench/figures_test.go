@@ -16,7 +16,7 @@ func smokeScale() Scale {
 	sc.ClientCacheBytes = 256 * 1024
 	sc.Runs = 1
 	sc.SampleInterval = 50 * time.Millisecond
-	sc.WANRTTs = []time.Duration{1, 2}
+	sc.WANRTTs = []time.Duration{1 * time.Millisecond, 2 * time.Millisecond}
 	sc.MABRTT = 2 * time.Millisecond
 	return sc
 }

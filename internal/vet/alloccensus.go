@@ -48,7 +48,7 @@ type CensusReport struct {
 // hot-path root. File paths are relativized to moduleRoot when given.
 // Returns nil when no //sgfsvet:hot-path directives exist.
 func AllocCensus(pkgs []*Package, moduleRoot string) *CensusReport {
-	an := analyzeAllocs(pkgs)
+	an := analyzeAllocs(newModule(pkgs))
 	if an == nil {
 		return nil
 	}

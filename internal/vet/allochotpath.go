@@ -64,14 +64,9 @@ const hotPathDirective = "//sgfsvet:hot-path"
 // the summary-marker prefix so markerOf never confuses the two.
 const allocSitePrefix = markerPrefix + "site:"
 
-// Run implements Analyzer (single-package mode).
-func (a AllocHotPath) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
-// RunModule implements ModuleAnalyzer.
-func (a AllocHotPath) RunModule(pkgs []*Package) []Diagnostic {
-	an := analyzeAllocs(pkgs)
+// Run implements Analyzer.
+func (AllocHotPath) Run(m *module) []Diagnostic {
+	an := analyzeAllocs(m)
 	if an == nil {
 		return nil
 	}
@@ -124,12 +119,12 @@ type allocAnalysis struct {
 }
 
 // analyzeAllocs runs the full pipeline; nil when no roots are declared.
-func analyzeAllocs(pkgs []*Package) *allocAnalysis {
-	g := buildCallGraph(pkgs)
-	roots := hotPathRoots(pkgs)
+func analyzeAllocs(m *module) *allocAnalysis {
+	roots := hotPathRoots(m.pkgs)
 	if len(roots) == 0 {
 		return nil
 	}
+	g := m.graph()
 	an := &allocAnalysis{
 		g:   g,
 		esc: computeEscapeSummaries(g),
@@ -146,20 +141,18 @@ func analyzeAllocs(pkgs []*Package) *allocAnalysis {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		for fn := range g.reachableFrom([]*types.Func{byName[name]}) {
+		root := byName[name]
+		for fn := range g.reachableFrom(func(fn *types.Func) bool { return fn == root }) {
 			an.hot[fn] = append(an.hot[fn], name)
 		}
 	}
 
-	pools := poolPackages(pkgs)
+	pools := poolPackages(m.pkgs)
 	for _, fn := range g.nodes { // declaration order: deterministic
 		if an.hot[fn] == nil {
 			continue
 		}
-		site := g.idx.decls[fn]
-		if site == nil {
-			continue
-		}
+		site := g.decls[fn]
 		an.classifyFn(site.pkg, site.decl, fn)
 	}
 	an.report(pools)
@@ -169,25 +162,20 @@ func analyzeAllocs(pkgs []*Package) *allocAnalysis {
 // hotPathRoots collects //sgfsvet:hot-path annotated declarations.
 func hotPathRoots(pkgs []*Package) map[*types.Func]string {
 	roots := make(map[*types.Func]string)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || fd.Doc == nil {
-					continue
-				}
-				for _, c := range fd.Doc.List {
-					if !strings.HasPrefix(c.Text, hotPathDirective) {
-						continue
-					}
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						roots[fn] = pkg.Types.Name() + "." + shortFuncName(fn)
-					}
-					break
-				}
-			}
+	forEachFunc(pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		if fd.Doc == nil {
+			return
 		}
-	}
+		for _, c := range fd.Doc.List {
+			if !strings.HasPrefix(c.Text, hotPathDirective) {
+				continue
+			}
+			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+				roots[fn] = pkg.Types.Name() + "." + shortFuncName(fn)
+			}
+			break
+		}
+	})
 	return roots
 }
 

@@ -77,28 +77,14 @@ func (s *escSummary) retArg(i int) bool {
 // computeEscapeSummaries runs the bottom-up fixpoint over g.
 func computeEscapeSummaries(g *callGraph) map[*types.Func]*escSummary {
 	sums := make(map[*types.Func]*escSummary)
-	for _, scc := range g.sccs {
-		// Safety valve only: the lattice is monotone and finite.
-		for pass := 0; pass < len(scc)*4+8; pass++ {
-			changed := false
-			for _, fn := range scc {
-				if summarizeEscape(g, g.idx.decls[fn], fn, sums) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
+	g.bottomUp(func(site *declSite, fn *types.Func) bool {
+		return summarizeEscape(g, site, fn, sums)
+	})
 	return sums
 }
 
 // summarizeEscape recomputes fn's escape summary and reports change.
 func summarizeEscape(g *callGraph, site *declSite, fn *types.Func, sums map[*types.Func]*escSummary) bool {
-	if site == nil {
-		return false
-	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return false
@@ -112,21 +98,11 @@ func summarizeEscape(g *callGraph, site *declSite, fn *types.Func, sums map[*typ
 	}
 
 	pkg := site.pkg
-	seed := cfg.State{}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if p := params.At(i); p != nil {
-			seed[p] = &cfg.Source{Pos: p.Pos(), Desc: paramMarker(i)}
-		}
-	}
-	if r := sig.Recv(); r != nil {
-		seed[r] = &cfg.Source{Pos: r.Pos(), Desc: recvMarker}
-	}
 
 	hooks := &escapeHooks{
-		pkg:  pkg,
-		idx:  g.idx,
-		sums: sums,
+		pkg:   pkg,
+		decls: g.decls,
+		sums:  sums,
 		onReturn: func(src *cfg.Source) {
 			if i, isRecv, ok := markerOf(src.Desc); ok {
 				if isRecv {
@@ -148,7 +124,7 @@ func summarizeEscape(g *callGraph, site *declSite, fn *types.Func, sums map[*typ
 	}
 	spec := &cfg.Spec{
 		Info:      pkg.Info,
-		Seed:      seed,
+		Seed:      markerSeed(sig),
 		CallTaint: escCallTaint(pkg, sums),
 		Sink:      hooks.sink,
 	}
@@ -192,7 +168,7 @@ func escCallTaint(pkg *Package, sums map[*types.Func]*escSummary) func(*ast.Call
 // classification pass (alloc sites escaping).
 type escapeHooks struct {
 	pkg      *Package
-	idx      *moduleIndex
+	decls    map[*types.Func]*declSite
 	sums     map[*types.Func]*escSummary
 	onReturn func(src *cfg.Source)
 	onEscape func(src *cfg.Source, why string)
@@ -382,7 +358,7 @@ func (h *escapeHooks) call(call *ast.CallExpr, gate func(ast.Expr) *cfg.Source) 
 	}
 	callee := calleeOf(h.pkg, call)
 	if callee != nil {
-		if _, inModule := h.idx.decls[callee]; inModule {
+		if _, inModule := h.decls[callee]; inModule {
 			sum := h.sums[callee]
 			if sum == nil {
 				return // converging fixpoint: optimistic until summarized

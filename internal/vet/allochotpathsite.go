@@ -634,7 +634,7 @@ func (an *allocAnalysis) classifyFn(pkg *Package, decl *ast.FuncDecl, fn *types.
 	}
 	hooks := &escapeHooks{
 		pkg:      pkg,
-		idx:      an.g.idx,
+		decls:    an.g.decls,
 		sums:     an.esc,
 		onReturn: func(src *cfg.Source) { markHeap(src, "returned") },
 		onEscape: markHeap,

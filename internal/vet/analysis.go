@@ -22,19 +22,13 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Analyzer inspects one package and reports diagnostics.
+// Analyzer inspects the module one RunAll loads and reports
+// diagnostics. Every analyzer sees the whole package set at once; the
+// interprocedural ones share the module's call graph (engine.go). The
+// module type is unexported, so the suite is closed to this package.
 type Analyzer interface {
 	Name() string
-	Run(pkg *Package) []Diagnostic
-}
-
-// ModuleAnalyzer is implemented by analyzers that need every loaded
-// package at once so they can follow calls across package boundaries
-// (lock-order, ctx-deadline). RunAll hands such analyzers the whole
-// package set in one call instead of iterating per package.
-type ModuleAnalyzer interface {
-	Analyzer
-	RunModule(pkgs []*Package) []Diagnostic
+	Run(m *module) []Diagnostic
 }
 
 // AnalyzerTiming records one analyzer's wall-clock cost over a RunAll
@@ -54,27 +48,15 @@ func RunAll(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 
 // RunAllTimed is RunAll with a per-analyzer wall-time breakdown, so
 // the CLI's -timing flag and CI's analysis-time budget can see where
-// the suite spends its time.
+// the suite spends its time. The shared call graph is built inside the
+// first analyzer that asks for it and counts toward that analyzer.
 func RunAllTimed(pkgs []*Package, analyzers []Analyzer) ([]Diagnostic, []AnalyzerTiming) {
-	var uniq []*Package
-	seen := make(map[*Package]bool, len(pkgs))
-	for _, p := range pkgs {
-		if !seen[p] {
-			seen[p] = true
-			uniq = append(uniq, p)
-		}
-	}
+	m := newModule(pkgs)
 	var out []Diagnostic
 	timings := make([]AnalyzerTiming, 0, len(analyzers))
 	for _, a := range analyzers {
 		start := time.Now()
-		if ma, ok := a.(ModuleAnalyzer); ok {
-			out = append(out, ma.RunModule(uniq)...)
-		} else {
-			for _, pkg := range uniq {
-				out = append(out, a.Run(pkg)...)
-			}
-		}
+		out = append(out, a.Run(m)...)
 		timings = append(timings, AnalyzerTiming{Name: a.Name(), Elapsed: time.Since(start)})
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -34,11 +34,6 @@ type AtomicMisuse struct{}
 // Name implements Analyzer.
 func (AtomicMisuse) Name() string { return "atomic-misuse" }
 
-// Run implements Analyzer (single-package mode).
-func (a AtomicMisuse) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
 // atAccess is one plain (non-atomic) access to a tracked location.
 type atAccess struct {
 	pkg   *Package
@@ -55,8 +50,8 @@ type atRecord struct {
 	plain        []atAccess
 }
 
-// RunModule implements ModuleAnalyzer.
-func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
+// Run implements Analyzer.
+func (AtomicMisuse) Run(m *module) []Diagnostic {
 	rec := make(map[*types.Var]*atRecord)
 	consumed := make(map[ast.Node]bool) // selectors/idents used by atomic calls
 	var diags []Diagnostic
@@ -64,8 +59,8 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 	// Pass A: atomic operations — old-style atomic.AddUint64(&x.f, ..)
 	// calls classify the location, typed-atomic Store(..Load()..) is
 	// the lost-update rule.
-	forEachBody(pkgs, func(pkg *Package, fname string, body *ast.BlockStmt) {
-		ast.Inspect(body, func(n ast.Node) bool {
+	forEachFunc(m.pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -83,7 +78,7 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 						Analyzer: "atomic-misuse",
 						Pos:      pkg.Fset.Position(call.Pos()),
 						Message: fmt.Sprintf("%s of %s in %s re-stores its own atomic load; the read-modify-write is not atomic (use Add or a CompareAndSwap loop)",
-							calleeOf(pkg, call).Name(), r.display, fname),
+							calleeOf(pkg, call).Name(), r.display, fd.Name.Name),
 					})
 				}
 				return true
@@ -93,7 +88,7 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 					Analyzer: "atomic-misuse",
 					Pos:      pkg.Fset.Position(call.Pos()),
 					Message: fmt.Sprintf("%s.Store re-stores its own Load in %s; the read-modify-write is not atomic (use Add or a CompareAndSwap loop)",
-						types.ExprString(sel), fname),
+						types.ExprString(sel), fd.Name.Name),
 				})
 			}
 			return true
@@ -101,10 +96,10 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 	})
 
 	// Pass B: plain accesses to the locations pass A classified.
-	forEachBody(pkgs, func(pkg *Package, fname string, body *ast.BlockStmt) {
-		fresh := freshLocals(pkg, body)
-		writes := writeTargets(body)
-		ast.Inspect(body, func(n ast.Node) bool {
+	forEachFunc(m.pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		fresh := freshLocals(pkg, fd.Body)
+		writes := writeTargets(fd.Body)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			var v *types.Var
 			var base ast.Expr
 			switch x := n.(type) {
@@ -144,7 +139,7 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 					}
 				}
 			}
-			r.plain = append(r.plain, atAccess{pkg: pkg, pos: n.Pos(), fn: fname, write: writes[n]})
+			r.plain = append(r.plain, atAccess{pkg: pkg, pos: n.Pos(), fn: fd.Name.Name, write: writes[n]})
 			return true
 		})
 	})
@@ -184,21 +179,6 @@ func (a AtomicMisuse) RunModule(pkgs []*Package) []Diagnostic {
 		return diags[i].Message < diags[j].Message
 	})
 	return diags
-}
-
-// forEachBody visits every function body in the module. Function
-// literals are reached through ast.Inspect from the enclosing body, so
-// only declarations are enumerated.
-func forEachBody(pkgs []*Package, f func(pkg *Package, fname string, body *ast.BlockStmt)) {
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, d := range file.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					f(pkg, fd.Name.Name, fd.Body)
-				}
-			}
-		}
-	}
 }
 
 // atRecordFor interns the record for a tracked location, naming it

@@ -38,11 +38,6 @@ type CtxDeadline struct {
 // Name implements Analyzer.
 func (CtxDeadline) Name() string { return "ctx-deadline" }
 
-// Run implements Analyzer over a single package.
-func (a CtxDeadline) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
 const (
 	ctxUnbounded = iota // Background/TODO: can never gain a deadline
 	ctxUnknown          // field, function result, untracked
@@ -55,9 +50,9 @@ type ctxStatus struct {
 	param *types.Var // set for ctxParam
 }
 
-// RunModule implements ModuleAnalyzer.
-func (a CtxDeadline) RunModule(pkgs []*Package) []Diagnostic {
-	idx := indexModule(pkgs)
+// Run implements Analyzer.
+func (a CtxDeadline) Run(m *module) []Diagnostic {
+	g := m.graph()
 
 	type site struct {
 		pkg         *Package
@@ -67,115 +62,114 @@ func (a CtxDeadline) RunModule(pkgs []*Package) []Diagnostic {
 		sink        bool
 		calleeParam *types.Var // obligation target for non-sink sites
 	}
-	var sites []site
+	sites := make(map[*types.Func][]site) // by enclosing declaration
 
-	seen := make(map[*Package]bool)
-	for _, pkg := range pkgs {
-		if seen[pkg] {
-			continue
-		}
-		seen[pkg] = true
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+	forEachFunc(m.pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		owner, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+		status := classifyContexts(pkg, fd)
+		add := func(s site) { sites[owner] = append(sites[owner], s) }
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			callee := calleeOf(pkg, call)
+			if callee == nil {
+				return true
+			}
+			sig, ok := callee.Type().(*types.Signature)
+			if !ok {
+				return true
+			}
+			params := sig.Params()
+			if isRPCSink(callee, sig) {
+				if len(call.Args) > 0 {
+					add(site{
+						pkg:  pkg,
+						pos:  call.Pos(),
+						desc: exprString(call.Fun),
+						arg:  exprCtxStatus(pkg, status, call.Args[0]),
+						sink: true,
+					})
+				}
+				return true
+			}
+			if _, inModule := g.decls[callee]; !inModule {
+				return true
+			}
+			for i := 0; i < params.Len() && i < len(call.Args); i++ {
+				if sig.Variadic() && i == params.Len()-1 {
+					break
+				}
+				if !isNamed(params.At(i).Type(), "context", "Context") {
 					continue
 				}
-				status := classifyContexts(pkg, fd)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := calleeOf(pkg, call)
-					if callee == nil {
-						return true
-					}
-					sig, ok := callee.Type().(*types.Signature)
-					if !ok {
-						return true
-					}
-					params := sig.Params()
-					if isRPCSink(callee, sig) {
-						if len(call.Args) > 0 {
-							sites = append(sites, site{
-								pkg:  pkg,
-								pos:  call.Pos(),
-								desc: exprString(call.Fun),
-								arg:  exprCtxStatus(pkg, status, call.Args[0]),
-								sink: true,
-							})
-						}
-						return true
-					}
-					if _, inModule := idx.decls[callee]; !inModule {
-						return true
-					}
-					for i := 0; i < params.Len() && i < len(call.Args); i++ {
-						if sig.Variadic() && i == params.Len()-1 {
-							break
-						}
-						if !isContextType(params.At(i).Type()) {
-							continue
-						}
-						sites = append(sites, site{
-							pkg:         pkg,
-							pos:         call.Pos(),
-							desc:        exprString(call.Fun),
-							arg:         exprCtxStatus(pkg, status, call.Args[i]),
-							calleeParam: params.At(i),
-						})
-					}
-					return true
+				add(site{
+					pkg:         pkg,
+					pos:         call.Pos(),
+					desc:        exprString(call.Fun),
+					arg:         exprCtxStatus(pkg, status, call.Args[i]),
+					calleeParam: params.At(i),
 				})
 			}
-		}
-	}
+			return true
+		})
+	})
 
-	// Propagate obligations from sinks up through context parameters.
+	// Propagate obligations from sinks up through context parameters,
+	// bottom-up over the call graph. A function's needy parameters
+	// depend only on its own call sites and its callees' needy
+	// parameters, and the set only grows, so the order of the passes
+	// cannot change the result.
 	needy := make(map[*types.Var]bool)
-	for changed := true; changed; {
-		changed = false
-		for _, s := range sites {
+	g.bottomUp(func(_ *declSite, fn *types.Func) bool {
+		changed := false
+		for _, s := range sites[fn] {
 			obligated := s.sink || (s.calleeParam != nil && needy[s.calleeParam])
 			if obligated && s.arg.kind == ctxParam && !needy[s.arg.param] {
 				needy[s.arg.param] = true
 				changed = true
 			}
 		}
-	}
+		return changed
+	})
 
-	inScope := func(pkg *Package) bool {
-		if len(a.Packages) == 0 {
-			return true
-		}
-		for _, p := range a.Packages {
-			if pkg.ImportPath == p {
-				return true
-			}
-		}
-		return false
-	}
 	var diags []Diagnostic
-	for _, s := range sites {
-		if !inScope(s.pkg) || s.arg.kind != ctxUnbounded {
-			continue
-		}
-		if s.sink {
-			diags = append(diags, Diagnostic{
-				Analyzer: "ctx-deadline",
-				Pos:      s.pkg.Fset.Position(s.pos),
-				Message:  fmt.Sprintf("upstream RPC %s is issued with a context that can never carry a deadline", s.desc),
-			})
-		} else if needy[s.calleeParam] {
-			diags = append(diags, Diagnostic{
-				Analyzer: "ctx-deadline",
-				Pos:      s.pkg.Fset.Position(s.pos),
-				Message:  fmt.Sprintf("call to %s passes a deadline-free context into an upstream RPC path", s.desc),
-			})
+	for _, fn := range g.nodes {
+		for _, s := range sites[fn] {
+			if !inPackages(s.pkg, a.Packages) || s.arg.kind != ctxUnbounded {
+				continue
+			}
+			if s.sink {
+				diags = append(diags, Diagnostic{
+					Analyzer: "ctx-deadline",
+					Pos:      s.pkg.Fset.Position(s.pos),
+					Message:  fmt.Sprintf("upstream RPC %s is issued with a context that can never carry a deadline", s.desc),
+				})
+			} else if needy[s.calleeParam] {
+				diags = append(diags, Diagnostic{
+					Analyzer: "ctx-deadline",
+					Pos:      s.pkg.Fset.Position(s.pos),
+					Message:  fmt.Sprintf("call to %s passes a deadline-free context into an upstream RPC path", s.desc),
+				})
+			}
 		}
 	}
 	return diags
+}
+
+// inPackages reports whether pkg is one of paths; an empty list
+// admits every package.
+func inPackages(pkg *Package, paths []string) bool {
+	if len(paths) == 0 {
+		return true
+	}
+	for _, p := range paths {
+		if pkg.ImportPath == p {
+			return true
+		}
+	}
+	return false
 }
 
 // isRPCSink reports whether fn is an RPC issue point: a method named
@@ -189,7 +183,7 @@ func isRPCSink(fn *types.Func, sig *types.Signature) bool {
 	default:
 		return false
 	}
-	return sig.Params().Len() > 0 && isContextType(sig.Params().At(0).Type())
+	return sig.Params().Len() > 0 && isNamed(sig.Params().At(0).Type(), "context", "Context")
 }
 
 // classifyContexts assigns a deadline status to every context-typed
@@ -200,7 +194,7 @@ func classifyContexts(pkg *Package, fd *ast.FuncDecl) map[*types.Var]ctxStatus {
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
 			for _, name := range field.Names {
-				if v, ok := pkg.Info.Defs[name].(*types.Var); ok && isContextType(v.Type()) {
+				if v, ok := pkg.Info.Defs[name].(*types.Var); ok && isNamed(v.Type(), "context", "Context") {
 					status[v] = ctxStatus{kind: ctxParam, param: v}
 				}
 			}
@@ -215,7 +209,7 @@ func classifyContexts(pkg *Package, fd *ast.FuncDecl) map[*types.Var]ctxStatus {
 		if !ok {
 			v, ok = pkg.Info.Uses[id].(*types.Var)
 		}
-		if !ok || !isContextType(v.Type()) {
+		if !ok || !isNamed(v.Type(), "context", "Context") {
 			return false
 		}
 		if old, seen := status[v]; !seen || st.kind > old.kind {

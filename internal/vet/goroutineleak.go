@@ -36,67 +36,54 @@ type GoroutineLeak struct{}
 func (GoroutineLeak) Name() string { return "goroutine-leak" }
 
 // Run implements Analyzer.
-func (GoroutineLeak) Run(pkg *Package) []Diagnostic {
-	closed := closedChannels(pkg)
-
-	// Same-package function declarations, to resolve `go m.loop()`.
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = fd
-				}
-			}
-		}
-	}
+func (GoroutineLeak) Run(m *module) []Diagnostic {
+	decls := m.graph().decls
+	closed := make(map[*Package]map[string]bool)
 
 	type key struct {
-		pos token.Pos
+		pos token.Position
 		msg string
 	}
 	reported := make(map[key]bool)
 	var diags []Diagnostic
-	report := func(pos token.Pos, msg string) {
-		k := key{pos, msg}
-		if reported[k] {
-			return
-		}
-		reported[k] = true
-		diags = append(diags, Diagnostic{
-			Analyzer: "goroutine-leak",
-			Pos:      pkg.Fset.Position(pos),
-			Message:  msg,
-		})
-	}
 
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	forEachFunc(m.pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		if closed[pkg] == nil {
+			closed[pkg] = closedChannels(pkg)
+		}
+		report := func(pos token.Pos, msg string) {
+			k := key{pkg.Fset.Position(pos), msg}
+			if reported[k] {
+				return
 			}
-			buffered := bufferedLocals(pkg, fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				gs, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				var body *ast.BlockStmt
-				if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-					body = lit.Body
-				} else if fn := calleeOf(pkg, gs.Call); fn != nil {
-					if fdecl, ok := decls[fn]; ok {
-						body = fdecl.Body
-					}
-				}
-				if body != nil {
-					scanGoroutineBody(pkg, body, closed, buffered, report)
-				}
-				return true
+			reported[k] = true
+			diags = append(diags, Diagnostic{
+				Analyzer: "goroutine-leak",
+				Pos:      k.pos,
+				Message:  msg,
 			})
 		}
-	}
+		buffered := bufferedLocals(pkg, fd)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			gs, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			var body *ast.BlockStmt
+			if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
+				body = lit.Body
+			} else if fn := calleeOf(pkg, gs.Call); fn != nil {
+				// Same-package functions only: `go m.loop()`.
+				if site := decls[fn]; site != nil && site.pkg == pkg {
+					body = site.decl.Body
+				}
+			}
+			if body != nil {
+				scanGoroutineBody(pkg, body, closed[pkg], buffered, report)
+			}
+			return true
+		})
+	})
 	return diags
 }
 

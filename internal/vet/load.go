@@ -3,7 +3,15 @@
 // go/parser and go/types. It carries sixteen analyzers tuned to the
 // invariants this codebase depends on but the compiler cannot check.
 //
-// Syntactic, per-package:
+// Every analyzer implements one interface, Analyzer, and sees the
+// whole package set a RunAll loads. The interprocedural ones run on
+// one engine (engine.go): the module's call graph, built once per
+// RunAll and shared, which owns the declaration table and provides
+// Tarjan's strongly connected components, a bottom-up summary
+// fixpoint over the condensation (bottomUp), and breadth-first
+// reachability with provenance (reachableFrom).
+//
+// Syntactic, package-local:
 //
 //   - xdr-symmetry: EncodeXDR/DecodeXDR method pairs must visit the
 //     same fields in the same order with matching XDR primitives.
@@ -36,9 +44,9 @@
 //     material (time.Duration conversions — backoff jitter — are the
 //     sanctioned use).
 //
-// Summary-based, on call-graph function summaries computed to a
-// fixpoint over the SCC condensation (fourth generation; the three
-// taint analyzers above follow flows through any call depth now):
+// Summary-based, on call-graph function summaries computed by the
+// engine's bottom-up fixpoint (fourth generation; the three taint
+// analyzers above follow flows through any call depth now):
 //
 //   - resource-leak: acquired connections, files and pool buffers
 //     must be released, stored, or handed off on every path;

@@ -54,33 +54,11 @@ var blockingMethods = map[string]bool{
 // unlocks before blocking I/O no longer reports. Function literals
 // are separate graphs starting lock-free, reported under the
 // enclosing declaration's name.
-func (a LockOverIO) Run(pkg *Package) []Diagnostic {
-	if len(a.Packages) > 0 {
-		found := false
-		for _, p := range a.Packages {
-			if pkg.ImportPath == p {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil
-		}
-	}
+func (a LockOverIO) Run(m *module) []Diagnostic {
 	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			diags = append(diags, lockIOBody(pkg, fd, fd.Body)...)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					diags = append(diags, lockIOBody(pkg, fd, lit.Body)...)
-				}
-				return true
-			})
+	for _, tgt := range taintTargets(m.pkgs) {
+		if inPackages(tgt.pkg, a.Packages) {
+			diags = append(diags, lockIOBody(tgt.pkg, tgt.decl, tgt.body)...)
 		}
 	}
 	return diags

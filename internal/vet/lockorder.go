@@ -34,12 +34,6 @@ type LockOrder struct{}
 // Name implements Analyzer.
 func (LockOrder) Name() string { return "lock-order" }
 
-// Run implements Analyzer over a single package; cycles spanning
-// packages need the ModuleAnalyzer entry point.
-func (a LockOrder) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
 // lockEdge records "to is acquired while from is held".
 type lockEdge struct {
 	from, to string
@@ -47,14 +41,14 @@ type lockEdge struct {
 	detail   string
 }
 
-// RunModule implements ModuleAnalyzer.
-func (LockOrder) RunModule(pkgs []*Package) []Diagnostic {
-	idx := indexModule(pkgs)
+// Run implements Analyzer.
+func (LockOrder) Run(m *module) []Diagnostic {
+	g := m.graph()
 
 	// Facts from one pass over every function body and every function
 	// literal (each literal is its own acquisition context).
 	directAcq := make(map[*types.Func]map[string]bool)
-	callGraph := make(map[*types.Func]map[*types.Func]bool)
+	callees := make(map[*types.Func]map[*types.Func]bool) // synchronous calls only
 	type heldCall struct {
 		held   []string
 		callee *types.Func
@@ -77,12 +71,12 @@ func (LockOrder) RunModule(pkgs []*Package) []Diagnostic {
 			}
 			keyByName[name] = key
 			if owner != nil {
-				m := directAcq[owner]
-				if m == nil {
-					m = make(map[string]bool)
-					directAcq[owner] = m
+				set := directAcq[owner]
+				if set == nil {
+					set = make(map[string]bool)
+					directAcq[owner] = set
 				}
-				m[key] = true
+				set[key] = true
 			}
 			for heldName := range held {
 				hk := keyByName[heldName]
@@ -102,16 +96,16 @@ func (LockOrder) RunModule(pkgs []*Package) []Diagnostic {
 			if callee == nil {
 				return
 			}
-			if _, ok := idx.decls[callee]; !ok {
+			if _, ok := g.decls[callee]; !ok {
 				return
 			}
 			if owner != nil {
-				m := callGraph[owner]
-				if m == nil {
-					m = make(map[*types.Func]bool)
-					callGraph[owner] = m
+				set := callees[owner]
+				if set == nil {
+					set = make(map[*types.Func]bool)
+					callees[owner] = set
 				}
-				m[callee] = true
+				set[callee] = true
 			}
 			if len(held) == 0 {
 				return
@@ -136,53 +130,40 @@ func (LockOrder) RunModule(pkgs []*Package) []Diagnostic {
 			walkContext(pkg, nil, lit.Body)
 		}
 	}
+	forEachFunc(m.pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		owner, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+		walkContext(pkg, owner, fd.Body)
+	})
 
-	seen := make(map[*Package]bool)
-	for _, pkg := range pkgs {
-		if seen[pkg] {
-			continue
-		}
-		seen[pkg] = true
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				owner, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				walkContext(pkg, owner, fd.Body)
-			}
-		}
-	}
-
-	// Close acquisition sets over the synchronous call graph, then turn
-	// every call-under-lock into edges to the callee's full set.
+	// Close acquisition sets over the synchronous calls bottom-up (a
+	// monotone union, so the order of the passes cannot change the
+	// result), then turn every call-under-lock into edges to the
+	// callee's full set.
 	transAcq := make(map[*types.Func]map[string]bool, len(directAcq))
 	for fn, keys := range directAcq {
-		m := make(map[string]bool, len(keys))
+		set := make(map[string]bool, len(keys))
 		for k := range keys {
-			m[k] = true
+			set[k] = true
 		}
-		transAcq[fn] = m
+		transAcq[fn] = set
 	}
-	for changed := true; changed; {
-		changed = false
-		for caller, callees := range callGraph {
-			for callee := range callees {
-				for k := range transAcq[callee] {
-					m := transAcq[caller]
-					if m == nil {
-						m = make(map[string]bool)
-						transAcq[caller] = m
-					}
-					if !m[k] {
-						m[k] = true
-						changed = true
-					}
+	g.bottomUp(func(_ *declSite, fn *types.Func) bool {
+		changed := false
+		for callee := range callees[fn] {
+			for k := range transAcq[callee] {
+				set := transAcq[fn]
+				if set == nil {
+					set = make(map[string]bool)
+					transAcq[fn] = set
+				}
+				if !set[k] {
+					set[k] = true
+					changed = true
 				}
 			}
 		}
-	}
+		return changed
+	})
 	for _, hc := range heldCalls {
 		for k := range transAcq[hc.callee] {
 			for _, from := range hc.held {
@@ -245,49 +226,7 @@ func lockCycleDiagnostics(byPair map[[2]string]lockEdge, order [][2]string) []Di
 	}
 	sort.Strings(nodes)
 
-	// Tarjan's SCC.
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	var sccs [][]string
-	next := 0
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, n := range nodes {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
-		}
-	}
+	sccs := tarjan(nodes, func(n string) []string { return adj[n] })
 
 	var diags []Diagnostic
 	for _, scc := range sccs {

@@ -17,7 +17,7 @@ import (
 // layers:
 //
 //  1. Per function body, a CFG must-analysis tracks the set of lock
-//     keys (interproc.go lockKeyOf identities) held at every point.
+//     keys (lockKeyOf identities) held at every point.
 //     The fact is an (acquired, released) effect pair so it composes
 //     with an unknown entry lockset: held(p) = (entry \ released(p))
 //     ∪ acquired(p). Join intersects acquisitions and unions releases
@@ -50,11 +50,6 @@ type LocksetRace struct{}
 
 // Name implements Analyzer.
 func (LocksetRace) Name() string { return "lockset-race" }
-
-// Run implements Analyzer (single-package mode).
-func (a LocksetRace) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
 
 // lockEffect is the dataflow fact: the lock keys certainly acquired
 // and possibly released since function entry. Immutable.
@@ -190,50 +185,30 @@ type lsAnalysis struct {
 	roots    map[*types.Func]bool
 }
 
-// RunModule implements ModuleAnalyzer.
-func (a LocksetRace) RunModule(pkgs []*Package) []Diagnostic {
+// Run implements Analyzer.
+func (LocksetRace) Run(m *module) []Diagnostic {
 	ls := &lsAnalysis{
-		pkgPaths: make(map[string]bool, len(pkgs)),
+		pkgPaths: make(map[string]bool, len(m.pkgs)),
 		exits:    make(map[*types.Func]*lsExit),
 		fresh:    make(map[*types.Func]bool),
 		roots:    make(map[*types.Func]bool),
 	}
-	for _, pkg := range pkgs {
+	for _, pkg := range m.pkgs {
 		ls.pkgPaths[pkg.Types.Path()] = true
 	}
 
-	g := buildCallGraph(pkgs)
-	ls.computeFresh(g.idx)
+	g := m.graph()
+	g.bottomUp(ls.markFresh)
 
 	// Pass 1: bottom-up exit effects so lock/unlock helpers compose.
-	for _, scc := range g.sccs {
-		for pass := 0; pass < len(scc)*2+4; pass++ {
-			changed := false
-			for _, fn := range scc {
-				if ls.summarizeExit(g.idx.decls[fn], fn) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
+	g.bottomUp(ls.summarizeExit)
 
 	// Pass 2: collect accesses, call sites and roots.
-	ls.collectRoots(pkgs, g.idx)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				ls.collectBody(pkg, fd, fn)
-			}
-		}
-	}
+	ls.collectRoots(m.pkgs, g)
+	forEachFunc(m.pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+		ls.collectBody(pkg, fd, fn)
+	})
 
 	// Pass 3: entry-lockset fixpoint over the call sites.
 	entry := ls.solveEntries()
@@ -244,9 +219,6 @@ func (a LocksetRace) RunModule(pkgs []*Package) []Diagnostic {
 
 // summarizeExit recomputes fn's exit lock effect; reports change.
 func (ls *lsAnalysis) summarizeExit(site *declSite, fn *types.Func) bool {
-	if site == nil {
-		return false
-	}
 	r := &lsRun{ls: ls, pkg: site.pkg}
 	g := cfg.Build(site.decl.Body)
 	in := cfg.Solve(g, r.transfer())
@@ -271,40 +243,30 @@ func (ls *lsAnalysis) summarizeExit(site *declSite, fn *types.Func) bool {
 // empty: exported API, main/init, and functions referenced as values
 // (handlers, callbacks, method values) — their call sites are
 // invisible to the propagation.
-func (ls *lsAnalysis) collectRoots(pkgs []*Package, idx *moduleIndex) {
-	calledIdents := make(map[*ast.Ident]bool)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch fun := ast.Unparen(call.Fun).(type) {
-				case *ast.Ident:
-					calledIdents[fun] = true
-				case *ast.SelectorExpr:
-					calledIdents[fun.Sel] = true
-				}
-				return true
-			})
-		}
-	}
-	for fn := range idx.decls {
+func (ls *lsAnalysis) collectRoots(pkgs []*Package, g *callGraph) {
+	for fn := range g.decls {
 		if ast.IsExported(fn.Name()) || fn.Name() == "main" || fn.Name() == "init" {
 			ls.roots[fn] = true
 		}
 	}
+	called := make(map[*ast.Ident]bool)
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
+			// Preorder: a call is visited before the identifier it calls.
 			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok || calledIdents[id] {
-					return true
-				}
-				if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
-					if _, inModule := idx.decls[fn]; inModule {
-						ls.roots[fn] = true
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					switch fun := ast.Unparen(x.Fun).(type) {
+					case *ast.Ident:
+						called[fun] = true
+					case *ast.SelectorExpr:
+						called[fun.Sel] = true
+					}
+				case *ast.Ident:
+					if fn, ok := pkg.Info.Uses[x].(*types.Func); ok && !called[x] {
+						if _, inModule := g.decls[fn]; inModule {
+							ls.roots[fn] = true
+						}
 					}
 				}
 				return true
@@ -547,55 +509,49 @@ func (ls *lsAnalysis) addAccess(pkg *Package, sel *ast.SelectorExpr, write bool,
 	})
 }
 
-// computeFresh marks constructors: functions whose every return hands
-// back an object allocated inside them (a composite literal, new(T),
-// a locally-allocated variable, or another constructor's result).
-// Accesses through such results at the caller are pre-publication.
-// The fixpoint iterates because freshness chains through wrappers.
-func (ls *lsAnalysis) computeFresh(idx *moduleIndex) {
-	for pass := 0; pass < 8; pass++ {
-		changed := false
-		for fn, site := range idx.decls {
-			if ls.fresh[fn] {
-				continue
-			}
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok || sig.Results().Len() == 0 {
-				continue
-			}
-			local := ls.localAllocs(site.pkg, site.decl.Body)
-			returns, allFresh := 0, true
-			ast.Inspect(site.decl.Body, func(n ast.Node) bool {
-				if _, isLit := n.(*ast.FuncLit); isLit {
-					return false
-				}
-				ret, ok := n.(*ast.ReturnStmt)
-				if !ok {
-					return true
-				}
-				returns++
-				if len(ret.Results) == 0 {
-					allFresh = false
-					return true
-				}
-				res := ast.Unparen(ret.Results[0])
-				if tv, ok := site.pkg.Info.Types[res]; ok && tv.IsNil() {
-					return true // error path: nothing escapes
-				}
-				if !ls.isFreshExpr(site.pkg, res, local) {
-					allFresh = false
-				}
-				return true
-			})
-			if returns > 0 && allFresh {
-				ls.fresh[fn] = true
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
+// markFresh is the bottom-up step that marks constructors: functions
+// whose every return hands back an object allocated inside them (a
+// composite literal, new(T), a locally-allocated variable, or another
+// constructor's result). Accesses through such results at the caller
+// are pre-publication. Freshness chains through wrappers, so it is a
+// fixpoint over the call graph; it reports whether fn became fresh.
+func (ls *lsAnalysis) markFresh(site *declSite, fn *types.Func) bool {
+	if ls.fresh[fn] {
+		return false
 	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Results().Len() == 0 {
+		return false
+	}
+	local := ls.localAllocs(site.pkg, site.decl.Body)
+	returns, allFresh := 0, true
+	ast.Inspect(site.decl.Body, func(n ast.Node) bool {
+		if _, isLit := n.(*ast.FuncLit); isLit {
+			return false
+		}
+		ret, ok := n.(*ast.ReturnStmt)
+		if !ok {
+			return true
+		}
+		returns++
+		if len(ret.Results) == 0 {
+			allFresh = false
+			return true
+		}
+		res := ast.Unparen(ret.Results[0])
+		if tv, ok := site.pkg.Info.Types[res]; ok && tv.IsNil() {
+			return true // error path: nothing escapes
+		}
+		if !ls.isFreshExpr(site.pkg, res, local) {
+			allFresh = false
+		}
+		return true
+	})
+	if returns > 0 && allFresh {
+		ls.fresh[fn] = true
+		return true
+	}
+	return false
 }
 
 func (ls *lsAnalysis) isFreshExpr(pkg *Package, e ast.Expr, local map[types.Object]bool) bool {

@@ -340,3 +340,47 @@ func writeExprString(b *strings.Builder, e ast.Expr) {
 		fmt.Fprintf(b, "<%T>", e)
 	}
 }
+
+// lockKeyOf computes a module-wide identity for the mutex behind a
+// lock expression: "<pkgpath>.<Type>.<field>" for struct-field mutexes
+// and "<pkgpath>.<var>" for package-level ones. Mutexes with no stable
+// identity across functions (locals, parameters) yield "".
+func lockKeyOf(pkg *Package, e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		v, ok := pkg.Info.Uses[x].(*types.Var)
+		if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+			return ""
+		}
+		return v.Pkg().Path() + "." + v.Name()
+	case *ast.SelectorExpr:
+		if id, ok := x.X.(*ast.Ident); ok {
+			if _, isPkg := pkg.Info.Uses[id].(*types.PkgName); isPkg {
+				v, ok := pkg.Info.Uses[x.Sel].(*types.Var)
+				if !ok || v.Pkg() == nil {
+					return ""
+				}
+				return v.Pkg().Path() + "." + v.Name()
+			}
+		}
+		tv, ok := pkg.Info.Types[x.X]
+		if !ok {
+			return ""
+		}
+		named := namedType(tv.Type)
+		if named == nil || named.Obj().Pkg() == nil {
+			return ""
+		}
+		return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + x.Sel.Name
+	}
+	return ""
+}
+
+// shortKey trims the directory part of a lock key for diagnostics:
+// "repro/internal/oncrpc.Client.mu" -> "oncrpc.Client.mu".
+func shortKey(key string) string {
+	if i := strings.LastIndexByte(key, '/'); i >= 0 {
+		return key[i+1:]
+	}
+	return key
+}

@@ -38,37 +38,17 @@ type PoolLifecycle struct{}
 // Name implements Analyzer.
 func (PoolLifecycle) Name() string { return "pool-lifecycle" }
 
-// Run implements Analyzer (single-package mode: no cross-package
-// summaries).
-func (a PoolLifecycle) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
-// RunModule implements ModuleAnalyzer.
-func (a PoolLifecycle) RunModule(pkgs []*Package) []Diagnostic {
+// Run implements Analyzer.
+func (PoolLifecycle) Run(m *module) []Diagnostic {
 	pa := &poolAnalysis{
 		sums:     make(map[*types.Func]*poolSummary),
 		siteObs:  make(map[ast.Node]*poolOb),
 		paramObs: make(map[types.Object]*poolOb),
 	}
-	g := buildCallGraph(pkgs)
-	for _, scc := range g.sccs {
-		// Monotone finite lattice; the bound is a safety valve.
-		for pass := 0; pass < len(scc)*4+8; pass++ {
-			changed := false
-			for _, fn := range scc {
-				if pa.summarize(g.idx.decls[fn], fn) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
+	m.graph().bottomUp(pa.summarize)
 
 	var diags []Diagnostic
-	for _, tgt := range taintTargets(pkgs) {
+	for _, tgt := range taintTargets(m.pkgs) {
 		diags = append(diags, pa.report(tgt)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -266,9 +246,6 @@ func (pa *poolAnalysis) paramOb(obj types.Object, index int) *poolOb {
 
 // summarize recomputes fn's pool summary; reports change.
 func (pa *poolAnalysis) summarize(site *declSite, fn *types.Func) bool {
-	if site == nil {
-		return false
-	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return false

@@ -32,35 +32,42 @@ func (ReplayTableSync) Name() string { return "replay-table-sync" }
 const replayDirective = "//sgfsvet:replay-table"
 
 // Run implements Analyzer.
-func (ReplayTableSync) Run(pkg *Package) []Diagnostic {
+func (ReplayTableSync) Run(m *module) []Diagnostic {
 	var diags []Diagnostic
-	report := func(n ast.Node, msg string) {
-		diags = append(diags, Diagnostic{
-			Analyzer: "replay-table-sync",
-			Pos:      pkg.Fset.Position(n.Pos()),
-			Message:  msg,
+	forEachReplayTable(m.pkgs, func(pkg *Package, vs *ast.ValueSpec, target string) {
+		checkReplayTable(pkg, vs, target, func(n ast.Node, msg string) {
+			diags = append(diags, Diagnostic{
+				Analyzer: "replay-table-sync",
+				Pos:      pkg.Fset.Position(n.Pos()),
+				Message:  msg,
+			})
 		})
-	}
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
+	})
+	return diags
+}
+
+// forEachReplayTable visits every //sgfsvet:replay-table annotated
+// value spec in the module with the directive's target import path.
+func forEachReplayTable(pkgs []*Package, visit func(pkg *Package, vs *ast.ValueSpec, target string)) {
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
 				if !ok {
 					continue
 				}
-				target, ok := replayTarget(gd, vs)
-				if !ok {
-					continue
+				for _, spec := range gd.Specs {
+					vs, ok := spec.(*ast.ValueSpec)
+					if !ok {
+						continue
+					}
+					if target, ok := replayTarget(gd, vs); ok {
+						visit(pkg, vs, target)
+					}
 				}
-				checkReplayTable(pkg, vs, target, report)
 			}
 		}
 	}
-	return diags
 }
 
 // replayTarget extracts the directive's import path from the doc

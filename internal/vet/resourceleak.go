@@ -34,37 +34,17 @@ type ResourceLeak struct{}
 // Name implements Analyzer.
 func (ResourceLeak) Name() string { return "resource-leak" }
 
-// Run implements Analyzer (single-package mode: no cross-package
-// summaries).
-func (a ResourceLeak) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
-// RunModule implements ModuleAnalyzer.
-func (a ResourceLeak) RunModule(pkgs []*Package) []Diagnostic {
+// Run implements Analyzer.
+func (ResourceLeak) Run(m *module) []Diagnostic {
 	ra := &resAnalysis{
 		sums:     make(map[*types.Func]*resSummary),
 		siteObs:  make(map[*ast.CallExpr]*obligation),
 		paramObs: make(map[types.Object]*obligation),
 	}
-	g := buildCallGraph(pkgs)
-	for _, scc := range g.sccs {
-		// Monotone finite lattice; the bound is a safety valve.
-		for pass := 0; pass < len(scc)*4+8; pass++ {
-			changed := false
-			for _, fn := range scc {
-				if ra.summarize(g.idx.decls[fn], fn) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
+	m.graph().bottomUp(ra.summarize)
 
 	var diags []Diagnostic
-	for _, tgt := range taintTargets(pkgs) {
+	for _, tgt := range taintTargets(m.pkgs) {
 		diags = append(diags, ra.report(tgt)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -243,9 +223,6 @@ func (ra *resAnalysis) paramOb(obj types.Object, index int, recv bool) *obligati
 
 // summarize recomputes fn's resource summary; reports change.
 func (ra *resAnalysis) summarize(site *declSite, fn *types.Func) bool {
-	if site == nil {
-		return false
-	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return false

@@ -45,56 +45,31 @@ func (RetrySafety) Name() string { return "retry-safety" }
 // retryPathDirective marks a function as retry-path code by hand.
 const retryPathDirective = "//sgfsvet:retry-path"
 
-// Run implements Analyzer (single-package mode).
-func (a RetrySafety) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
-// RunModule implements ModuleAnalyzer.
-func (a RetrySafety) RunModule(pkgs []*Package) []Diagnostic {
-	nonIdem := nonIdempotentConsts(pkgs)
+// Run implements Analyzer.
+func (a RetrySafety) Run(m *module) []Diagnostic {
+	nonIdem := nonIdempotentConsts(m.pkgs)
 	if len(nonIdem) == 0 {
 		return nil
 	}
-	g := buildCallGraph(pkgs)
-	roots := retryRoots(pkgs, g)
+	g := m.graph()
+	roots := retryRoots(m.pkgs, g)
 	if len(roots) == 0 {
 		return nil
 	}
 
-	// BFS with provenance: every reachable function remembers the root
-	// that put it on a retry path.
-	reason := make(map[*types.Func]string, len(roots))
-	var queue []*types.Func
-	for _, fn := range g.nodes {
-		if why, ok := roots[fn]; ok {
-			reason[fn] = why
-			queue = append(queue, fn)
-		}
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		for _, callee := range g.succs[fn] {
-			if _, seen := reason[callee]; seen {
-				continue
-			}
-			why := reason[fn]
-			if !strings.Contains(why, "via ") {
-				why = why + " via " + fn.Name()
-			}
-			reason[callee] = why
-			queue = append(queue, callee)
-		}
-	}
-
+	// Every reachable function carries the root that put it on a retry
+	// path as its provenance.
+	reached := g.reachableFrom(func(fn *types.Func) bool {
+		_, ok := roots[fn]
+		return ok
+	})
 	var diags []Diagnostic
-	for fn, why := range reason {
-		site := g.idx.decls[fn]
-		if site == nil {
-			continue
+	for fn, root := range reached {
+		why := roots[root]
+		if fn != root {
+			why += " via " + root.Name()
 		}
-		why := why
+		site := g.decls[fn]
 		ast.Inspect(site.decl.Body, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
@@ -125,53 +100,36 @@ func (a RetrySafety) RunModule(pkgs []*Package) []Diagnostic {
 // the table variable's name.
 func nonIdempotentConsts(pkgs []*Package) map[*types.Const]string {
 	out := make(map[*types.Const]string)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				gd, ok := d.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					if _, isTable := replayTarget(gd, vs); !isTable {
-						continue
-					}
-					name := "replay table"
-					if len(vs.Names) > 0 {
-						name = vs.Names[0].Name
-					}
-					if len(vs.Values) != 1 {
-						continue
-					}
-					lit, ok := ast.Unparen(vs.Values[0]).(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					for _, elt := range lit.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						c := constKeyObj(pkg, kv.Key)
-						if c == nil {
-							continue
-						}
-						tv, ok := pkg.Info.Types[kv.Value]
-						if !ok || tv.Value == nil || tv.Value.Kind() != constant.Bool {
-							continue
-						}
-						if !constant.BoolVal(tv.Value) {
-							out[c] = name
-						}
-					}
-				}
+	forEachReplayTable(pkgs, func(pkg *Package, vs *ast.ValueSpec, _ string) {
+		name := "replay table"
+		if len(vs.Names) > 0 {
+			name = vs.Names[0].Name
+		}
+		if len(vs.Values) != 1 {
+			return
+		}
+		lit, ok := ast.Unparen(vs.Values[0]).(*ast.CompositeLit)
+		if !ok {
+			return
+		}
+		for _, elt := range lit.Elts {
+			kv, ok := elt.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			c := constKeyObj(pkg, kv.Key)
+			if c == nil {
+				continue
+			}
+			tv, ok := pkg.Info.Types[kv.Value]
+			if !ok || tv.Value == nil || tv.Value.Kind() != constant.Bool {
+				continue
+			}
+			if !constant.BoolVal(tv.Value) {
+				out[c] = name
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -183,66 +141,58 @@ func retryRoots(pkgs []*Package, g *callGraph) map[*types.Func]string {
 		if fn == nil {
 			return
 		}
-		if _, inModule := g.idx.decls[fn]; !inModule {
+		if _, inModule := g.decls[fn]; !inModule {
 			return
 		}
 		if _, have := roots[fn]; !have {
 			roots[fn] = why
 		}
 	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+	forEachFunc(pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 
-				if fd.Doc != nil {
-					for _, c := range fd.Doc.List {
-						if strings.HasPrefix(c.Text, retryPathDirective) {
-							add(fn, "marked "+retryPathDirective)
-						}
-					}
+		if fd.Doc != nil {
+			for _, c := range fd.Doc.List {
+				if strings.HasPrefix(c.Text, retryPathDirective) {
+					add(fn, "marked "+retryPathDirective)
 				}
-
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch x := n.(type) {
-					case *ast.CallExpr:
-						callee := calleeOf(pkg, x)
-						if callee == nil || callee.Name() != "NewReconnectClient" ||
-							callee.Pkg() == nil || !strings.HasSuffix(callee.Pkg().Path(), "oncrpc") {
-							return true
-						}
-						// Any function referenced in the arguments runs on
-						// reconnect: the session factory, the idempotency
-						// callback, stats hooks.
-						for _, arg := range x.Args {
-							ast.Inspect(arg, func(m ast.Node) bool {
-								if id, ok := m.(*ast.Ident); ok {
-									if rf, ok := pkg.Info.Uses[id].(*types.Func); ok {
-										add(rf, "passed to NewReconnectClient")
-									}
-								}
-								if sel, ok := m.(*ast.SelectorExpr); ok {
-									if rf, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok {
-										add(rf, "passed to NewReconnectClient")
-									}
-								}
-								return true
-							})
-						}
-					case *ast.Ident:
-						if obj := pkg.Info.Uses[x]; obj != nil && obj.Name() == "ErrNonIdempotentReplay" &&
-							obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "oncrpc") {
-							add(fn, "handles ErrNonIdempotentReplay")
-						}
-					}
-					return true
-				})
 			}
 		}
-	}
+
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				callee := calleeOf(pkg, x)
+				if callee == nil || callee.Name() != "NewReconnectClient" ||
+					callee.Pkg() == nil || !strings.HasSuffix(callee.Pkg().Path(), "oncrpc") {
+					return true
+				}
+				// Any function referenced in the arguments runs on
+				// reconnect: the session factory, the idempotency
+				// callback, stats hooks.
+				for _, arg := range x.Args {
+					ast.Inspect(arg, func(m ast.Node) bool {
+						if id, ok := m.(*ast.Ident); ok {
+							if rf, ok := pkg.Info.Uses[id].(*types.Func); ok {
+								add(rf, "passed to NewReconnectClient")
+							}
+						}
+						if sel, ok := m.(*ast.SelectorExpr); ok {
+							if rf, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok {
+								add(rf, "passed to NewReconnectClient")
+							}
+						}
+						return true
+					})
+				}
+			case *ast.Ident:
+				if obj := pkg.Info.Uses[x]; obj != nil && obj.Name() == "ErrNonIdempotentReplay" &&
+					obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "oncrpc") {
+					add(fn, "handles ErrNonIdempotentReplay")
+				}
+			}
+			return true
+		})
+	})
 	return roots
 }

@@ -31,13 +31,8 @@ type SecretFlow struct {
 // Name implements Analyzer.
 func (SecretFlow) Name() string { return "secret-flow" }
 
-// Run implements Analyzer (single-package mode).
-func (a SecretFlow) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
-// RunModule implements ModuleAnalyzer.
-func (a SecretFlow) RunModule(pkgs []*Package) []Diagnostic {
+// Run implements Analyzer.
+func (a SecretFlow) Run(m *module) []Diagnostic {
 	pol := summaryPolicy{
 		mkSpec: func(pkg *Package) *cfg.Spec {
 			return &cfg.Spec{
@@ -83,9 +78,9 @@ func (a SecretFlow) RunModule(pkgs []*Package) []Diagnostic {
 	}
 	ss := emptySummaries(pol)
 	if !a.Intraprocedural {
-		ss = computeSummaries(buildCallGraph(pkgs), pol)
+		ss = computeSummaries(m.graph(), pol)
 	}
-	return reportDeepFlows(pkgs, ss, a.Name(), func(src *cfg.Source, what, fn string) string {
+	return reportDeepFlows(m.pkgs, ss, a.Name(), nil, func(src *cfg.Source, what, fn string) string {
 		return fmt.Sprintf("%s flows into %s in %s", src.Desc, what, fn)
 	})
 }

@@ -23,9 +23,20 @@ import (
 // cannot occur in a real source description.
 const markerPrefix = "\x00"
 
-const recvMarker = markerPrefix + "recv"
-
-func paramMarker(i int) string { return markerPrefix + "param:" + strconv.Itoa(i) }
+// markerSeed plants a marker source on the receiver and on each
+// parameter of a function, so a summary solve sees where every input
+// flows.
+func markerSeed(sig *types.Signature) cfg.State {
+	seed := cfg.State{}
+	for i := 0; i < sig.Params().Len(); i++ {
+		p := sig.Params().At(i)
+		seed[p] = &cfg.Source{Pos: p.Pos(), Desc: markerPrefix + "param:" + strconv.Itoa(i)}
+	}
+	if r := sig.Recv(); r != nil {
+		seed[r] = &cfg.Source{Pos: r.Pos(), Desc: markerPrefix + "recv"}
+	}
+	return seed
+}
 
 // markerOf decodes a marker description: the parameter index, or
 // isRecv for the receiver marker.
@@ -200,30 +211,13 @@ func emptySummaries(pol summaryPolicy) *summarySet {
 // computeSummaries runs the bottom-up fixpoint over g's condensation.
 func computeSummaries(g *callGraph, pol summaryPolicy) *summarySet {
 	ss := &summarySet{pol: pol, fns: make(map[*types.Func]*fnSummary)}
-	for _, scc := range g.sccs {
-		// Safety valve only: the lattice is monotone and finite, so the
-		// inner loop converges well before the bound.
-		for pass := 0; pass < len(scc)*4+8; pass++ {
-			changed := false
-			for _, fn := range scc {
-				if ss.summarize(g.idx.decls[fn], fn) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
+	g.bottomUp(ss.summarize)
 	return ss
 }
 
 // summarize recomputes fn's summary against the current state of every
 // other summary and reports whether it changed.
 func (ss *summarySet) summarize(site *declSite, fn *types.Func) bool {
-	if site == nil {
-		return false
-	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return false
@@ -238,17 +232,7 @@ func (ss *summarySet) summarize(site *declSite, fn *types.Func) bool {
 
 	pkg := site.pkg
 	spec := ss.pol.mkSpec(pkg)
-	seed := cfg.State{}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if p := params.At(i); p != nil {
-			seed[p] = &cfg.Source{Pos: p.Pos(), Desc: paramMarker(i)}
-		}
-	}
-	if r := sig.Recv(); r != nil {
-		seed[r] = &cfg.Source{Pos: r.Pos(), Desc: recvMarker}
-	}
-	spec.Seed = seed
+	spec.Seed = markerSeed(sig)
 	spec.CallTaint = ss.callTaintFor(pkg)
 	spec.FieldTaint = ss.fieldTaintFor(pkg)
 	spec.Sink = func(n ast.Node, taintOf func(ast.Expr) *cfg.Source) {
@@ -441,15 +425,11 @@ func allTaints(e ast.Expr, taintOf func(ast.Expr) *cfg.Source) []*cfg.Source {
 // reportDeepFlows is the shared reporting pass: re-analyze every
 // function body (literals included) with real sources only, flagging
 // flows into direct sinks and into summarized sink-reaching calls.
-// format builds the diagnostic message from the flow's source, the
-// sink description, and the enclosing declaration's name.
-func reportDeepFlows(pkgs []*Package, ss *summarySet, analyzer string, format func(src *cfg.Source, what, fn string) string) []Diagnostic {
-	return reportDeepFlowsSeeded(pkgs, ss, analyzer, nil, format)
-}
-
-// reportDeepFlowsSeeded is reportDeepFlows with an extra taint seed
-// applied to every function (unbounded-alloc's wire-filled fields).
-func reportDeepFlowsSeeded(pkgs []*Package, ss *summarySet, analyzer string, seed cfg.State, format func(src *cfg.Source, what, fn string) string) []Diagnostic {
+// seed, when non-nil, is an extra taint seed applied to every function
+// (unbounded-alloc's wire-filled fields). format builds the diagnostic
+// message from the flow's source, the sink description, and the
+// enclosing declaration's name.
+func reportDeepFlows(pkgs []*Package, ss *summarySet, analyzer string, seed cfg.State, format func(src *cfg.Source, what, fn string) string) []Diagnostic {
 	var diags []Diagnostic
 	for _, tgt := range taintTargets(pkgs) {
 		tgt := tgt

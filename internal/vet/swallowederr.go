@@ -20,31 +20,28 @@ type SwallowedError struct{}
 func (SwallowedError) Name() string { return "swallowed-error" }
 
 // Run implements Analyzer.
-func (SwallowedError) Run(pkg *Package) []Diagnostic {
+func (SwallowedError) Run(m *module) []Diagnostic {
 	var diags []Diagnostic
-	report := func(n ast.Node, msg string) {
-		diags = append(diags, Diagnostic{
-			Analyzer: "swallowed-error",
-			Pos:      pkg.Fset.Position(n.Pos()),
-			Message:  msg,
-		})
-	}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				call, ok := n.X.(*ast.CallExpr)
-				if !ok || exemptCall(pkg, call) {
-					return true
+	for _, pkg := range m.pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ExprStmt:
+					call, ok := n.X.(*ast.CallExpr)
+					if !ok || exemptCall(pkg, call) || !returnsError(pkg, call) {
+						return true
+					}
+					diags = append(diags, Diagnostic{
+						Analyzer: "swallowed-error",
+						Pos:      pkg.Fset.Position(n.Pos()),
+						Message:  "result of " + exprString(call.Fun) + " includes an error that is not checked",
+					})
+				case *ast.AssignStmt:
+					diags = append(diags, blankedErrors(pkg, n)...)
 				}
-				if returnsError(pkg, call) {
-					report(n, "result of "+exprString(call.Fun)+" includes an error that is not checked")
-				}
-			case *ast.AssignStmt:
-				diags = append(diags, blankedErrors(pkg, n)...)
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return diags
 }

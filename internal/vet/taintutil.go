@@ -22,24 +22,16 @@ type taintTarget struct {
 // included, in deterministic (package, file, declaration) order.
 func taintTargets(pkgs []*Package) []taintTarget {
 	var out []taintTarget
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				out = append(out, taintTarget{pkg: pkg, decl: fd, fn: fn, body: fd.Body})
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.FuncLit); ok {
-						out = append(out, taintTarget{pkg: pkg, decl: fd, body: lit.Body})
-					}
-					return true
-				})
+	forEachFunc(pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+		out = append(out, taintTarget{pkg: pkg, decl: fd, fn: fn, body: fd.Body})
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				out = append(out, taintTarget{pkg: pkg, decl: fd, body: lit.Body})
 			}
-		}
-	}
+			return true
+		})
+	})
 	return out
 }
 

@@ -31,14 +31,8 @@ type UnboundedAlloc struct {
 // Name implements Analyzer.
 func (UnboundedAlloc) Name() string { return "unbounded-alloc" }
 
-// Run implements Analyzer (single-package mode: no cross-package field
-// seeding or call summaries).
-func (a UnboundedAlloc) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
-// RunModule implements ModuleAnalyzer.
-func (a UnboundedAlloc) RunModule(pkgs []*Package) []Diagnostic {
+// Run implements Analyzer.
+func (a UnboundedAlloc) Run(m *module) []Diagnostic {
 	pol := summaryPolicy{
 		mkSpec: func(pkg *Package) *cfg.Spec {
 			return &cfg.Spec{
@@ -60,14 +54,14 @@ func (a UnboundedAlloc) RunModule(pkgs []*Package) []Diagnostic {
 	// values, whose parameters reach allocation sites unclamped.
 	ss := emptySummaries(pol)
 	if !a.Intraprocedural {
-		ss = computeSummaries(buildCallGraph(pkgs), pol)
+		ss = computeSummaries(m.graph(), pol)
 	}
 
 	// Pass B: integer struct fields assigned from the wire anywhere in
 	// the module (DecodeXDR filling h.Count) carry taint into every
 	// function that reads them.
 	fields := cfg.State{}
-	for _, tgt := range taintTargets(pkgs) {
+	for _, tgt := range taintTargets(m.pkgs) {
 		tgt := tgt
 		pkg := tgt.pkg
 		spec := pol.mkSpec(pkg)
@@ -107,7 +101,7 @@ func (a UnboundedAlloc) RunModule(pkgs []*Package) []Diagnostic {
 	}
 
 	// Pass C: report sinks, with wire-filled fields seeded everywhere.
-	return reportDeepFlowsSeeded(pkgs, ss, a.Name(), fields,
+	return reportDeepFlows(m.pkgs, ss, a.Name(), fields,
 		func(src *cfg.Source, what, fn string) string {
 			return fmt.Sprintf("%s reaches %s without a bound check in %s", src.Desc, what, fn)
 		})

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -191,6 +192,53 @@ func loadFixturePkg(t *testing.T, name string) *Package {
 	return pkg
 }
 
+// TestSuiteMatchesSolo guards the shared call graph: the whole suite
+// over one module must report exactly the union of what each analyzer
+// reports alone on a graph of its own. An analyzer that mutated the
+// shared graph (succs, sccs) would change what later analyzers see.
+func TestSuiteMatchesSolo(t *testing.T) {
+	t.Parallel()
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLoader(root) // one loader: the standard library is checked once
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strs := func(diags []Diagnostic) []string {
+		out := make([]string, len(diags))
+		for i, d := range diags {
+			out[i] = d.String()
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, fx := range fixtures {
+		pkg, err := l.LoadDir(filepath.Join("testdata", "src", fx.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs := []*Package{pkg}
+		if m := newModule(pkgs); m.graph() != m.graph() {
+			t.Fatalf("%s: the module built its call graph twice", fx.Name())
+		}
+		var solo []Diagnostic
+		for _, a := range DefaultAnalyzers() {
+			solo = append(solo, RunAll(pkgs, []Analyzer{a})...)
+		}
+		want, got := strs(solo), strs(RunAll(pkgs, DefaultAnalyzers()))
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: suite reported\n%s\nsolo runs reported\n%s",
+				fx.Name(), strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
 // TestSecretFlowDeepChainIntraprocedural pins what the call-graph
 // summaries buy: the same three-level fixture reports nothing when the
 // summaries are disabled. If this starts failing with findings, the
@@ -200,7 +248,7 @@ func TestSecretFlowDeepChainIntraprocedural(t *testing.T) {
 	t.Parallel()
 	pkg := loadFixturePkg(t, "secretchain")
 	a := SecretFlow{Intraprocedural: true}
-	for _, d := range a.Run(pkg) {
+	for _, d := range RunAll([]*Package{pkg}, []Analyzer{a}) {
 		t.Errorf("intraprocedural analysis should miss the deep chain, found: %s", d)
 	}
 }
@@ -350,7 +398,7 @@ func TestCtxDeadlinePackageFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := CtxDeadline{Packages: []string{"some/other/pkg"}}
-	if diags := a.Run(pkg); len(diags) != 0 {
+	if diags := RunAll([]*Package{pkg}, []Analyzer{a}); len(diags) != 0 {
 		t.Fatalf("filtered analyzer still reported %d diagnostics", len(diags))
 	}
 }
@@ -370,7 +418,7 @@ func TestLockOverIOPackageFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := LockOverIO{Packages: []string{"some/other/pkg"}}
-	if diags := a.Run(pkg); len(diags) != 0 {
+	if diags := RunAll([]*Package{pkg}, []Analyzer{a}); len(diags) != 0 {
 		t.Fatalf("filtered analyzer still reported %d diagnostics", len(diags))
 	}
 }

@@ -25,13 +25,8 @@ type WeakRand struct{}
 // Name implements Analyzer.
 func (WeakRand) Name() string { return "weak-rand" }
 
-// Run implements Analyzer (single-package mode).
-func (a WeakRand) Run(pkg *Package) []Diagnostic {
-	return a.RunModule([]*Package{pkg})
-}
-
-// RunModule implements ModuleAnalyzer.
-func (a WeakRand) RunModule(pkgs []*Package) []Diagnostic {
+// Run implements Analyzer.
+func (a WeakRand) Run(m *module) []Diagnostic {
 	base := func(pkg *Package) *cfg.Spec {
 		return &cfg.Spec{
 			Info:     pkg.Info,
@@ -54,10 +49,10 @@ func (a WeakRand) RunModule(pkgs []*Package) []Diagnostic {
 			return 0, sink
 		},
 	}
-	ss := computeSummaries(buildCallGraph(pkgs), pol)
+	ss := computeSummaries(m.graph(), pol)
 
 	var diags []Diagnostic
-	for _, tgt := range taintTargets(pkgs) {
+	for _, tgt := range taintTargets(m.pkgs) {
 		tgt := tgt
 		pkg := tgt.pkg
 		spec := base(pkg)

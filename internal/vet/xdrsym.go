@@ -37,43 +37,46 @@ func (XDRSymmetry) Name() string { return "xdr-symmetry" }
 
 // xdrPair collects the two directions of one wire type.
 type xdrPair struct {
+	pkg  *Package
 	recv string
 	enc  *ast.FuncDecl
 	dec  *ast.FuncDecl
 }
 
 // Run implements Analyzer.
-func (XDRSymmetry) Run(pkg *Package) []Diagnostic {
-	pairs := make(map[string]*xdrPair)
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 || fd.Body == nil {
-				continue
-			}
-			recv := recvTypeName(fd.Recv.List[0].Type)
-			if recv == "" {
-				continue
-			}
-			key := recv
-			switch fd.Name.Name {
-			case "EncodeXDR", "enc":
-				p := pairs[key]
-				if p == nil {
-					p = &xdrPair{recv: recv}
-					pairs[key] = p
-				}
-				p.enc = fd
-			case "DecodeXDR", "dec":
-				p := pairs[key]
-				if p == nil {
-					p = &xdrPair{recv: recv}
-					pairs[key] = p
-				}
-				p.dec = fd
-			}
-		}
+func (XDRSymmetry) Run(m *module) []Diagnostic {
+	type key struct {
+		pkg  *Package
+		recv string
 	}
+	pairs := make(map[key]*xdrPair)
+	forEachFunc(m.pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		if fd.Recv == nil || len(fd.Recv.List) != 1 {
+			return
+		}
+		recv := recvTypeName(fd.Recv.List[0].Type)
+		if recv == "" {
+			return
+		}
+		var encode bool
+		switch fd.Name.Name {
+		case "EncodeXDR", "enc":
+			encode = true
+		case "DecodeXDR", "dec":
+		default:
+			return
+		}
+		p := pairs[key{pkg, recv}]
+		if p == nil {
+			p = &xdrPair{pkg: pkg, recv: recv}
+			pairs[key{pkg, recv}] = p
+		}
+		if encode {
+			p.enc = fd
+		} else {
+			p.dec = fd
+		}
+	})
 	var diags []Diagnostic
 	for _, p := range pairs {
 		if p.enc == nil || p.dec == nil {
@@ -81,10 +84,10 @@ func (XDRSymmetry) Run(pkg *Package) []Diagnostic {
 		}
 		encEvs := extractSide(p.enc, encodeSide)
 		decEvs := extractSide(p.dec, decodeSide)
-		if msg := compareEvents(encEvs, decEvs, pkg.Fset); msg != "" {
+		if msg := compareEvents(encEvs, decEvs, p.pkg.Fset); msg != "" {
 			diags = append(diags, Diagnostic{
 				Analyzer: "xdr-symmetry",
-				Pos:      pkg.Fset.Position(p.dec.Pos()),
+				Pos:      p.pkg.Fset.Position(p.dec.Pos()),
 				Message:  fmt.Sprintf("%s: EncodeXDR/DecodeXDR disagree: %s", p.recv, msg),
 			})
 		}
